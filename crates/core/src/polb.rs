@@ -15,8 +15,8 @@
 //! (1–128 entries).
 //!
 //! Look-up cost on the host is a tracked hot path: the
-//! `translation/polb_*` benchmarks pin it in the committed
-//! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
+//! `core.xlate_ns_per_op` and `core.xlate_parallel_ns_per_op` benchmark
+//! metrics time it on real traces (perfbench/README.md, BENCHMARK.json).
 
 use crate::addr::PAGE_BYTES;
 use crate::oid::{ObjectId, PoolId};

@@ -16,10 +16,9 @@
 //!   missing and an exception must be raised (the OS may abort the program
 //!   or let a signal handler map the pool).
 //!
-//! Walk cost on the host is a tracked hot path: the
-//! `translation/pot_walk_*` benchmarks pin it at paper size (16384
-//! entries, 1000 pools) in the committed `BENCH_<n>.json` baseline
-//! (docs/BENCHMARKS.md).
+//! Walk cost on the host is a tracked hot path: POLB misses walk the POT
+//! inside the `core.xlate_ns_per_op` benchmark metric, with the walk
+//! count in `core.pot_walks` (perfbench/README.md, BENCHMARK.json).
 
 use std::fmt;
 

@@ -5,13 +5,18 @@
 //! This lives in its own integration-test binary (one process) because
 //! it asserts on the *global* `core.pot.occupancy` gauge, which unit
 //! tests running concurrently in the library test binary would trample.
+//! The two tests below share that gauge too, so each holds
+//! [`GAUGE_LOCK`] for its whole body.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use poat_core::{PoolId, Pot, VirtAddr};
 
 const ENTRIES: usize = 8;
+
+static GAUGE_LOCK: Mutex<()> = Mutex::new(());
 
 fn occupancy_gauge() -> poat_telemetry::Gauge {
     poat_telemetry::global().gauge("core.pot.occupancy")
@@ -38,6 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn pot_agrees_with_model_under_churn(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut pot = Pot::new(ENTRIES);
         let mut model: HashMap<u32, u64> = HashMap::new();
         let gauge = occupancy_gauge();
@@ -83,6 +89,7 @@ proptest! {
 
 #[test]
 fn fresh_pot_resets_occupancy_gauge() {
+    let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut a = Pot::new(ENTRIES);
     for i in 1..=3u32 {
         a.insert(PoolId::new(i).unwrap(), VirtAddr::new(i as u64 * 4096))

@@ -87,8 +87,9 @@ fn help() -> ! {
          --replay POINT:SEED      re-execute one crash point deterministically\n                           \
          (requires --workload; combine with --trace)\n\n\
          report (docs/OBSERVABILITY.md):\n  \
-         queries the durable run ledger; every repro/bench run appends\n  \
-         one record (manifest, counters, gauges, histogram summaries).\n  \
+         queries the durable run ledger; every repro artifact and\n  \
+         crash-sweep run appends one record (manifest, counters,\n  \
+         gauges, histogram summaries).\n  \
          --ledger PATH            ledger file (default: .poat/ledger.poatlgr)\n  \
          --last N                 only the newest N records\n  \
          --command FILTER         only records whose command contains FILTER\n  \

@@ -2,12 +2,11 @@
 //! # poat-ledger
 //!
 //! The durable run ledger: an append-only log of one record per
-//! `repro`/bench run, so the repository's metric trajectory survives the
+//! `repro` run, so the repository's metric trajectory survives the
 //! process instead of being clobbered by the next `results_full.json`.
-//! `repro report` queries it, `bench-compare --ledger` reads baselines
-//! out of it, and the crash-point sweep injects faults *into* it — the
-//! ledger dogfoods the same `crates/pmem` write/persist primitives the
-//! paper's runtime exposes to applications.
+//! `repro report` queries it, and the crash-point sweep injects faults
+//! *into* it — the ledger dogfoods the same `crates/pmem` write/persist
+//! primitives the paper's runtime exposes to applications.
 //!
 //! ## On-disk format (`POATLGR1`)
 //!

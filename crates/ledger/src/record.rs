@@ -12,9 +12,9 @@
 //! worth ~3× on the dot-separated `layer.component.quantity` namespace.
 //!
 //! The `extra` field carries an opaque blob for subsystem-specific
-//! payloads: `bench-run --ledger` stores its full `BenchReport` JSON
-//! there so `bench-compare --ledger` can reconstruct a baseline without
-//! a separate file.
+//! payloads. Nothing in the repository writes it any more; it stays in
+//! the layout for format compatibility, so ledgers holding older records
+//! with a non-empty `extra` still decode and list.
 
 use std::collections::BTreeMap;
 
@@ -62,7 +62,8 @@ pub struct RecordData {
     pub gauges: BTreeMap<String, u64>,
     /// Histogram summaries, by name.
     pub histograms: BTreeMap<String, HistStat>,
-    /// Opaque subsystem payload (bench stores its report JSON here).
+    /// Opaque subsystem payload; no current writer, kept for format
+    /// compatibility.
     pub extra: Vec<u8>,
 }
 

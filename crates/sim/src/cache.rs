@@ -6,9 +6,9 @@
 //! (3 / 11 / 38 / 158 cycles with the Table 4 defaults).
 //!
 //! `access` runs once per replayed memory op, so its host cost bounds
-//! replay throughput: the `memory/cache_*` benchmarks pin both the MRU
-//! way-hint hit path and the full miss/evict path in the committed
-//! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
+//! replay throughput: the `sim.cache_ns_per_access` benchmark metric
+//! times it on real traces' memory ops (perfbench/README.md,
+//! BENCHMARK.json).
 
 use crate::config::{CacheLevelConfig, MemoryConfig};
 

@@ -68,7 +68,7 @@ impl SimResult {
 
     /// Accumulates another shard's counters into this result.
     ///
-    /// Sharded replay (docs/BENCHMARKS.md) splits one trace into
+    /// Sharded replay (DESIGN.md §5a) splits one trace into
     /// chunk-aligned slices, replays each with one chunk of functional
     /// warmup, and folds the per-shard measured windows back together
     /// in shard order. Every field of [`SimResult`] is a sum over ops,

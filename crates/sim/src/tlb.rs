@@ -1,9 +1,8 @@
 //! Data TLB model: fully associative, true-LRU over 4 KB page numbers.
 //!
 //! `access` runs once per replayed memory op, so its host cost bounds
-//! replay throughput: the `memory/tlb_*` benchmarks pin both the MRU
-//! entry-hint hit path and the full-scan miss path in the committed
-//! `BENCH_<n>.json` baseline (docs/BENCHMARKS.md).
+//! replay throughput: the `sim.tlb_ns_per_access` benchmark metric times
+//! it on real traces' memory ops (perfbench/README.md, BENCHMARK.json).
 
 /// Hit/miss counters for the TLB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

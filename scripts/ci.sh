@@ -100,36 +100,21 @@ grep -q '2 job(s) matched' "$trace_dir/catalog_query.txt"
 [[ "$(grep -c 'completed' "$trace_dir/catalog_query.txt")" -ge 2 ]]
 ! grep -E 'completed.* -$' "$trace_dir/catalog_query.txt"
 
-echo "==> bench smoke + comparator (non-blocking, offline)"
-# Smoke-scale pass over the full suite: proves every benchmark body
-# still runs, then diffs against the latest committed BENCH_*.json.
-# --warn-only because CI machines are arbitrarily loaded and smoke
-# windows are short — regressions print but do not fail the gate.
-# Release runs enforce for real via scripts/bench.sh, which hard-fails
-# on regression before a new baseline is minted (docs/BENCHMARKS.md).
-cargo run --release -p poat-bench --bin bench-run --locked --offline -- \
-  --mode smoke --out "$trace_dir/bench_smoke.json" --ledger "$ledger"
-bench_baseline="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
-if [[ -n "$bench_baseline" ]]; then
-  cargo run --release -p poat-bench --bin bench-compare --locked --offline -- \
-    "$bench_baseline" "$trace_dir/bench_smoke.json" --warn-only
-fi
-# Ledger round trip: the baseline read back out of the bench-run record
-# just appended must compare clean against the identical report file.
-cargo run --release -p poat-bench --bin bench-compare --locked --offline -- \
-  --ledger "$ledger" "$trace_dir/bench_smoke.json"
-
-if [[ -n "${POAT_BENCH_FULL_BUDGET:-}" && "${POAT_BENCH_FULL_BUDGET}" != 0 ]]; then
-  echo "==> full-scale matrix budget (opt-in via POAT_BENCH_FULL_BUDGET)"
-  # Full-scale Fig. 9 matrix under its wall-clock budget
-  # (budget/fig9_full_matrix, docs/BENCHMARKS.md). Minutes of runtime,
-  # so it only runs when a caller exports POAT_BENCH_FULL_BUDGET=1 —
-  # default CI stays fast. --filter skips the sampled microbenchmarks;
-  # the budget check alone exercises the sharded full-scale replay path.
-  POAT_BENCH_FULL_BUDGET="$POAT_BENCH_FULL_BUDGET" \
-    cargo run --release -p poat-bench --bin bench-run --locked --offline -- \
-    --mode smoke --filter fig9_full_matrix --out "$trace_dir/bench_full.json"
-  grep -q '"budget/fig9_full_matrix"' "$trace_dir/bench_full.json"
-fi
+echo "==> perfbench pin smoke (offline)"
+# One pass of each gated benchmark workload (BENCHMARK.json) at salt 0,
+# the paper's inputs: matrix_quick checks every cell's cycles,
+# instructions and POLB counts exactly against
+# perfbench/pins/matrix_quick.tsv, and crash_sweep checks zero recovery
+# violations over the full enumerated point set (perfbench/README.md,
+# "Correctness checks"). The last stdout line is the run's JSON summary;
+# any failed check fails the step.
+for workload in matrix_quick crash_sweep; do
+  cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 0 --seconds 1 --trace 0 > "$trace_dir/perfbench.txt"
+  summary="$(tail -n 1 "$trace_dir/perfbench.txt")"
+  echo "$workload: ${summary%%, \"metrics\"*}}"
+  grep -q '"correct": true' <<<"$summary"
+  grep -q '"failed": 0,' <<<"$summary"
+done
 
 echo "==> ci.sh: all green"
