@@ -4,8 +4,8 @@
 //! ```text
 //! repro <artifact> [--quick] [--workers N] [--json PATH] [--csv DIR]
 //!                  [--metrics PATH] [--trace PATH] [--trace-sample N]
-//!                  [--timeline DIR] [--profile] [--flame PATH]
-//!                  [--hud SECS] [--ledger PATH] [--no-ledger]
+//!                  [--timeline DIR] [--hud SECS] [--ledger PATH]
+//!                  [--no-ledger]
 //! repro report [--ledger PATH] [--last N] [--metric NAME] [--diff A:B]
 //!
 //! artifacts: table2 | fig9a | fig9b | table8 | instrs | fig10
@@ -17,9 +17,8 @@
 //! as versioned JSON — see `docs/METRICS.md` for the schema. `--trace`
 //! and `--timeline` enable event-level tracing — see `docs/TRACING.md`.
 //! Every run also appends one record to the durable run ledger
-//! (`repro report` queries it), `--profile`/`--flame` drive the
-//! span-tree profiler, and `--hud` the worker-pool HUD — see
-//! `docs/OBSERVABILITY.md`.
+//! (`repro report` queries it) and `--hud` drives the worker-pool HUD —
+//! see `docs/OBSERVABILITY.md`.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -36,7 +35,7 @@ use poat_telemetry::events;
 
 const USAGE: &str = "usage: repro <table2|fig9a|fig9b|table8|instrs|fig10|fig11|table9|fig12|ablations|seeds|all> \
 [--quick] [--workers N] [--json PATH] [--csv DIR] [--metrics PATH] [--trace PATH] [--trace-sample N] [--timeline DIR] \
-[--profile] [--flame PATH] [--hud SECS] [--ledger PATH] [--no-ledger]\n       \
+[--hud SECS] [--ledger PATH] [--no-ledger]\n       \
 repro report [--ledger PATH] [--last N] [--metric NAME] [--command FILTER] [--diff A:B]\n       \
 repro crash-sweep [--scale quick|full] [--workload BENCH:PATTERN] [--inject clean|torn|drop-clwb|all] \
 [--max-points N] [--replay POINT:SEED] [--metrics PATH] [--trace PATH] [--trace-sample N] \
@@ -132,10 +131,6 @@ fn help() -> ! {
          Format JSON (load in Perfetto; docs/TRACING.md)\n  \
          --trace-sample N   trace every Nth access only (default: all)\n  \
          --timeline DIR     per-workload windowed timelines as CSV into DIR\n  \
-         --profile          span-tree profiler: per-phase self-time table\n                     \
-         (sampled per --trace-sample; docs/OBSERVABILITY.md)\n  \
-         --flame PATH       write a collapsed-stack flamegraph (inferno\n                     \
-         format; implies --profile)\n  \
          --hud SECS         live worker-pool HUD: a progress line every\n                     \
          SECS seconds plus the stall watchdog\n  \
          --ledger PATH      append this run's record to the ledger at PATH\n                     \
@@ -187,31 +182,6 @@ fn append_to_ledger(path: &str, snapshot: &poat_telemetry::MetricsSnapshot) -> O
             None
         }
     }
-}
-
-/// Renders the span-tree profile: one row per path (indented by depth),
-/// self vs total time, and per-invocation self-time percentiles.
-fn profile_text(snap: &poat_telemetry::profile::ProfileSnapshot) -> String {
-    let mut t = TextTable::new(
-        "Span-tree profile (wall-clock; self excludes children; ns percentiles per invocation)",
-        &[
-            "Phase", "Count", "Total ms", "Self ms", "Self %", "p50", "p90", "p99",
-        ],
-    );
-    let root_total = snap.root_total_nanos().max(1);
-    for p in &snap.paths {
-        t.row(vec![
-            format!("{}{}", "  ".repeat(p.depth), p.name),
-            p.count.to_string(),
-            format!("{:.2}", p.total_nanos as f64 / 1e6),
-            format!("{:.2}", p.self_nanos as f64 / 1e6),
-            format!("{:.1}", 100.0 * p.self_nanos as f64 / root_total as f64),
-            p.self_p50.to_string(),
-            p.self_p90.to_string(),
-            p.self_p99.to_string(),
-        ]);
-    }
-    t.render()
 }
 
 /// Parses a `--diff` operand: a `run000007`-style id or a bare
@@ -592,7 +562,11 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
             "--trace" => trace_path = Some(value_of("--trace", &mut args)),
             "--trace-sample" => {
                 let v = value_of("--trace-sample", &mut args);
-                trace_sample = v.parse().unwrap_or_else(|_| bad("--trace-sample", &v));
+                trace_sample = v
+                    .parse()
+                    .ok()
+                    .filter(|n| *n > 0)
+                    .unwrap_or_else(|| bad("--trace-sample", &v));
             }
             "--metrics" => metrics_path = Some(value_of("--metrics", &mut args)),
             "--ledger" => ledger_path = Some(value_of("--ledger", &mut args)),
@@ -1017,8 +991,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut trace_sample: u64 = 1;
     let mut timeline_dir: Option<std::path::PathBuf> = None;
-    let mut profile_on = false;
-    let mut flame_path: Option<String> = None;
     let mut hud_secs: Option<u64> = None;
     let mut ledger_path: Option<String> = Some(DEFAULT_LEDGER.to_string());
     while let Some(a) = args.next() {
@@ -1043,7 +1015,7 @@ fn main() {
             "--trace" => trace_path = Some(value_of("--trace", &mut args)),
             "--trace-sample" => {
                 let v = value_of("--trace-sample", &mut args);
-                trace_sample = v.parse().unwrap_or_else(|_| {
+                trace_sample = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
                     eprintln!("error: --trace-sample expects a positive integer, got `{v}`");
                     std::process::exit(2);
                 });
@@ -1052,11 +1024,6 @@ fn main() {
                 let d = std::path::PathBuf::from(value_of("--timeline", &mut args));
                 std::fs::create_dir_all(&d).expect("create timeline output directory");
                 timeline_dir = Some(d);
-            }
-            "--profile" => profile_on = true,
-            "--flame" => {
-                flame_path = Some(value_of("--flame", &mut args));
-                profile_on = true;
             }
             "--hud" => {
                 let v = value_of("--hud", &mut args);
@@ -1075,10 +1042,6 @@ fn main() {
         }
     }
 
-    if profile_on {
-        poat_telemetry::profile::set_sample(trace_sample);
-        poat_telemetry::profile::set_enabled(true);
-    }
     if let Some(secs) = hud_secs {
         poat_harness::hud::set_sink(Box::new(|line: &str| eprintln!("{line}")));
         poat_harness::hud::set_interval(Some(std::time::Duration::from_secs(secs)));
@@ -1218,45 +1181,12 @@ fn main() {
         eprintln!("timelines written to {}", dir.display());
     }
 
-    // The profile publishes into the registry *before* the snapshot is
-    // cut, so the metrics file and the ledger record both carry the
-    // per-phase `profile.*` counters.
-    let profile_snap = if profile_on {
-        poat_telemetry::profile::set_enabled(false);
-        let snap = poat_telemetry::profile::snapshot();
-        snap.publish(poat_telemetry::global());
-        Some(snap)
-    } else {
-        None
-    };
-
     let manifest = poat_telemetry::RunManifest::collect(&artifact, scale.label(), started);
     let snapshot = poat_telemetry::global().snapshot(manifest.clone());
     let phases = phase_latency_text(&snapshot);
     if !phases.is_empty() {
         println!("{phases}");
     }
-    if let Some(prof) = &profile_snap {
-        if prof.is_empty() {
-            eprintln!("profile: nothing recorded (no profiled scopes ran)");
-        } else {
-            println!("{}", profile_text(prof));
-            let (self_sum, root_total) = (prof.total_self_nanos(), prof.root_total_nanos());
-            eprintln!(
-                "profile: self-times cover {self_sum} of {root_total} root ns ({:.3}%)",
-                100.0 * self_sum as f64 / root_total.max(1) as f64
-            );
-        }
-        if let Some(path) = &flame_path {
-            std::fs::write(path, prof.collapsed()).expect("write collapsed-stack flamegraph");
-            eprintln!(
-                "flamegraph written to {path} ({} stacks, collapsed format — \
-                 feed to inferno-flamegraph)",
-                prof.collapsed().lines().count()
-            );
-        }
-    }
-
     let run_id = ledger_path
         .as_deref()
         .and_then(|path| append_to_ledger(path, &snapshot));

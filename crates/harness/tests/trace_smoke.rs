@@ -75,7 +75,19 @@ fn repro_quick_trace_emits_wellformed_chrome_json() {
     // The stdout report carries the timeline and percentile sections.
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("## Timeline"));
-    assert!(stdout.contains("Phase latency percentiles"));
+    // The phase table carries the process-wide (`all`) row of each
+    // registry span phase.
+    let (_, phases) = stdout
+        .split_once("Phase latency percentiles")
+        .expect("phase latency section");
+    for phase in ["workload_exec", "trace_replay", "polb_sim", "pot_walk"] {
+        assert!(
+            phases
+                .lines()
+                .any(|l| l.split_whitespace().take(2).eq([phase, "all"])),
+            "phase table has an `{phase}` row:\n{phases}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,7 +25,6 @@
 use poat_core::VirtAddr;
 use poat_pmem::{MachineState, Trace, TraceOp};
 use poat_telemetry::events::{self, EventKind, TraceDesign};
-use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
 use crate::config::SimConfig;
@@ -53,7 +52,6 @@ fn flush_plain_run(
     tlb_miss_penalty: u64,
     l1: u64,
 ) {
-    let _mem_prof = profile::hot_scope("cache_tlb");
     *cycles += 1;
     if !tlb.access(va.raw()) {
         *cycles += tlb_miss_penalty;
@@ -149,7 +147,6 @@ fn simulate_inorder_ops_impl(
     enable_batching: bool,
 ) -> Result<SimResult, SimError> {
     let _replay_span = poat_telemetry::global().span(poat_telemetry::PHASE_TRACE_REPLAY);
-    let _replay_prof = profile::scope(poat_telemetry::PHASE_TRACE_REPLAY);
     let mut hier = MemoryHierarchy::new(&cfg.mem);
     let mut tlb = Tlb::new(cfg.mem.dtlb_entries);
     let mut xlate = TranslationUnit::new(cfg.translation, state);
@@ -234,13 +231,7 @@ fn simulate_inorder_ops_impl(
             flush_run!();
             warm_snapshot = Some(snapshot!());
         }
-        // One sampling decision per replayed op, shared by the decode pull
-        // below and every hot scope in the body.
-        let _op_prof = profile::begin_op();
-        let Some(op) = ({
-            let _decode_prof = profile::hot_scope("replay_decode");
-            ops.next()
-        }) else {
+        let Some(op) = ops.next() else {
             break;
         };
         consumed += 1;
@@ -299,7 +290,6 @@ fn simulate_inorder_ops_impl(
                         cycles,
                         oid.pool_raw(),
                     );
-                    let _xlate_prof = profile::hot_scope("xlate");
                     let extra = match xlate.translate(oid, va) {
                         TranslateOutcome::Ok { extra_cycles }
                         | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
@@ -312,7 +302,6 @@ fn simulate_inorder_ops_impl(
                         value_latency += extra;
                     }
                 }
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 // The Parallel POLB holds physical frames, so an nvld
                 // hit skips the TLB.
                 if !(is_nv && parallel_design) && !tlb.access(va.raw()) {
@@ -337,7 +326,6 @@ fn simulate_inorder_ops_impl(
                         cycles,
                         oid.pool_raw(),
                     );
-                    let _xlate_prof = profile::hot_scope("xlate");
                     let extra = match xlate.translate(oid, va) {
                         TranslateOutcome::Ok { extra_cycles }
                         | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
@@ -346,7 +334,6 @@ fn simulate_inorder_ops_impl(
                     // stalls (the POT walk blocks address generation).
                     cycles += extra.saturating_sub(hit_extra);
                 }
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 if !(is_nv && parallel_design) && !tlb.access(va.raw()) {
                     cycles += cfg.mem.tlb_miss_penalty;
                 }
@@ -357,7 +344,6 @@ fn simulate_inorder_ops_impl(
             }
             TraceOp::Clwb { va } => {
                 cycles += cfg.mem.clwb_latency;
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 hier.access(pmap.phys_of(va));
             }
             TraceOp::Fence => cycles += 1,

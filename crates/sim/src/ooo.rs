@@ -25,7 +25,6 @@ use std::collections::VecDeque;
 use poat_core::PolbDesign;
 use poat_pmem::{MachineState, Trace, TraceOp};
 use poat_telemetry::events::{self, EventKind, TraceDesign};
-use poat_telemetry::profile;
 
 use crate::cache::MemoryHierarchy;
 use crate::config::SimConfig;
@@ -91,7 +90,6 @@ pub fn simulate_ooo_ops_warm(
     }
 
     let _replay_span = poat_telemetry::global().span(poat_telemetry::PHASE_TRACE_REPLAY);
-    let _replay_prof = profile::scope(poat_telemetry::PHASE_TRACE_REPLAY);
     let mut hier = MemoryHierarchy::new(&cfg.mem);
     let mut tlb = Tlb::new(cfg.mem.dtlb_entries);
     let mut xlate = TranslationUnit::new(cfg.translation, state);
@@ -145,13 +143,7 @@ pub fn simulate_ooo_ops_warm(
         if warmup_ops > 0 && consumed == warmup_ops && warm_snapshot.is_none() {
             warm_snapshot = Some(snapshot!());
         }
-        // One sampling decision per replayed op, shared by the decode pull
-        // below and every hot scope in the body.
-        let _op_prof = profile::begin_op();
-        let Some(op) = ({
-            let _decode_prof = profile::hot_scope("replay_decode");
-            ops.next()
-        }) else {
+        let Some(op) = ops.next() else {
             break;
         };
         consumed += 1;
@@ -219,7 +211,6 @@ pub fn simulate_ooo_ops_warm(
                 done
             }
             TraceOp::Load { va, .. } => {
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
                 } else {
@@ -239,7 +230,6 @@ pub fn simulate_ooo_ops_warm(
                 }
             }
             TraceOp::Store { va, .. } => {
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
                 } else {
@@ -256,18 +246,14 @@ pub fn simulate_ooo_ops_warm(
                     start,
                     oid.pool_raw(),
                 );
-                let extra = {
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    }
+                let extra = match xlate.translate(oid, va) {
+                    TranslateOutcome::Ok { extra_cycles }
+                    | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
                 };
                 if extra > hit_extra {
                     // POLB miss: the POT walk blocks address generation.
                     dispatch_block = dispatch_block.max(start + extra);
                 }
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
                 } else {
@@ -294,17 +280,13 @@ pub fn simulate_ooo_ops_warm(
                     start,
                     oid.pool_raw(),
                 );
-                let extra = {
-                    let _xlate_prof = profile::hot_scope("xlate");
-                    match xlate.translate(oid, va) {
-                        TranslateOutcome::Ok { extra_cycles }
-                        | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
-                    }
+                let extra = match xlate.translate(oid, va) {
+                    TranslateOutcome::Ok { extra_cycles }
+                    | TranslateOutcome::Fault { extra_cycles } => extra_cycles,
                 };
                 if extra > hit_extra {
                     dispatch_block = dispatch_block.max(start + extra);
                 }
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 let t = if tlb.access(va.raw()) {
                     0
                 } else {
@@ -314,7 +296,6 @@ pub fn simulate_ooo_ops_warm(
                 start + extra + t + cfg.mem.l1d.latency
             }
             TraceOp::Clwb { va } => {
-                let _mem_prof = profile::hot_scope("cache_tlb");
                 hier.access(pmap.phys_of(va));
                 start + cfg.mem.clwb_latency
             }

@@ -91,7 +91,6 @@ impl TranslationUnit {
         // the Parallel design's page-table walk runs — and its latency
         // elapses — only once the POT has produced a base to walk from.
         let _walk_span = self.walk_timer.start();
-        let _walk_prof = poat_telemetry::profile::hot_scope("pot_walk");
         self.stats.pot_walks += 1;
         let hit = self.cfg.hit_latency_cycles();
         let fault_extra = hit + self.cfg.fault_penalty_cycles();

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod profile;
 pub mod timeline;
 
 use std::cell::RefCell;

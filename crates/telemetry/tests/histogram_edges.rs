@@ -1,8 +1,8 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
 //! Edge-case pins for `HistogramSnapshot` percentile behavior: empty
 //! histograms, single samples, extreme values, and the quantile-range
-//! boundaries. These are the cases the ledger and the profiler's
-//! self-time table lean on, so their behavior is contractual.
+//! boundaries. These are the cases the ledger and the phase latency
+//! table lean on, so their behavior is contractual.
 
 use poat_telemetry::Registry;
 

@@ -44,15 +44,11 @@ grep -q '"traceEvents"' "$trace_dir/trace.json"
 grep -q '"polb_miss"' "$trace_dir/trace.json"
 grep -q '"pot_walk"' "$trace_dir/trace.json"
 
-echo "==> repro report + flamegraph smoke (offline)"
-# Second run into the same ledger (with the profiler on), then the
-# cross-run loop must close: `repro report` sees both records and the
-# collapsed-stack export is a real multi-frame flamegraph
-# (docs/OBSERVABILITY.md).
+echo "==> repro report smoke (offline)"
+# Second run into the same ledger, then the cross-run loop must close:
+# `repro report` sees both records (docs/OBSERVABILITY.md).
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  fig9a --quick --ledger "$ledger" --flame "$trace_dir/profile.folded" >/dev/null
-test -s "$trace_dir/profile.folded"
-grep -q ';' "$trace_dir/profile.folded"
+  fig9a --quick --ledger "$ledger" >/dev/null
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
   report --ledger "$ledger" | tee "$trace_dir/report.txt"
 grep -q '2 records in' "$trace_dir/report.txt"
