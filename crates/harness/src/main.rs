@@ -708,7 +708,10 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
             true,
         ),
     };
-    std::fs::create_dir_all(&out_dir).expect("create trace output directory");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("error: creating {} failed: {e}", out_dir.display());
+        std::process::exit(1);
+    }
 
     let cells: Vec<(Micro, Pattern)> = match workload {
         Some(w) => vec![w],
@@ -731,7 +734,10 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
             bench.abbrev(),
             pattern.label().to_lowercase()
         ));
-        poat_pmem::trace_io::save(&run.trace, &path).expect("save trace");
+        if let Err(e) = poat_pmem::trace_io::save(&run.trace, &path) {
+            eprintln!("error: saving {} failed: {e}", path.display());
+            std::process::exit(1);
+        }
         let loaded = poat_pmem::trace_io::load(&path).unwrap_or_else(|e| {
             eprintln!("error: reloading {} failed: {e}", path.display());
             std::process::exit(1);

@@ -2,7 +2,8 @@
 //! run ledger (docs/OBSERVABILITY.md): `--help` documents every new
 //! flag, missing values die with targeted exit-2 errors, and the
 //! ledger → `repro report` loop closes — two runs make two queryable
-//! records.
+//! records. I/O failures in `repro trace-roundtrip` exit 1 with an
+//! `error:` line rather than a panic.
 
 use std::process::Command;
 
@@ -103,4 +104,21 @@ fn two_runs_make_two_ledger_records() {
         stdout.contains("delta run000001 -> run000002"),
         "metric view diffs the last two runs:\n{stdout}"
     );
+}
+
+#[test]
+fn trace_roundtrip_reports_an_unusable_dir() {
+    // A directory nested under a regular file can never be created.
+    let file = std::env::temp_dir().join(format!("poat_args_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, b"").unwrap();
+    let dir = file.join("x");
+    let out = repro(&["trace-roundtrip", "--dir", dir.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&file);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains(dir.to_str().unwrap()),
+        "names the path:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic:\n{stderr}");
 }

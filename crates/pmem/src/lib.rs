@@ -38,11 +38,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the `mmap` module opts back in with a
-// scoped `allow` for the two read-only mapping syscalls it wraps (every
-// unsafe block there carries a SAFETY justification; see docs/ANALYZER.md
-// rule R2). Everything else in the crate still refuses unsafe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
@@ -51,8 +47,6 @@ pub mod error;
 pub mod faultpoint;
 pub mod inspect;
 pub mod log;
-#[allow(unsafe_code)]
-pub mod mmap;
 pub mod pool;
 pub mod runtime;
 pub mod trace;

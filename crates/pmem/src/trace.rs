@@ -209,7 +209,7 @@ pub enum TraceCorruption {
     TrailingData,
 }
 
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7F) as u8;
         v >>= 7;
@@ -228,7 +228,7 @@ fn put_svarint(buf: &mut Vec<u8>, v: u64) {
     put_varint(buf, ((s << 1) ^ (s >> 63)) as u64);
 }
 
-pub(crate) fn get_varint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
+fn get_varint(data: &[u8], off: &mut usize) -> Result<u64, TraceCorruption> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -554,9 +554,8 @@ impl Trace {
     }
 
     /// The raw encoded columns — `(tag spine, payload)` — for
-    /// serialization and offline tooling (`trace_io` writes them
-    /// verbatim; the bench suite measures `from_encoded` validation
-    /// over them). The byte layout is specified in DESIGN.md §5a,
+    /// serialization (`trace_io` writes them verbatim behind a fixed
+    /// header). The byte layout is specified in DESIGN.md §5a,
     /// including a worked single-op example.
     pub fn encoded_columns(&self) -> (&[u8], &[u8]) {
         (&self.tags, &self.data)
@@ -603,9 +602,8 @@ impl Trace {
 /// everything before it.
 ///
 /// Produced by [`Trace::chunk_bounds`]; consumed by [`Trace::slice`] (the
-/// sharded-replay work unit) and by `trace_io`'s chunked on-disk format
-/// (each chunk header persists one of these so a memory-mapped reader can
-/// decode any chunk without replaying the whole stream). The geometry is
+/// sharded-replay work unit). Chunk geometry exists in memory only; the
+/// on-disk format (`trace_io`) stores the columns whole. The geometry is
 /// a pure function of the trace contents and the requested chunk size —
 /// never of worker count — which is what makes sharded replay
 /// deterministic.
@@ -797,96 +795,6 @@ impl Trace {
             first_op: bounds.first_op,
             prev_va: bounds.prev_va,
             prev_oid: bounds.prev_oid,
-        }
-    }
-}
-
-/// Streaming *checked* decoder over raw encoded columns: every varint,
-/// flag combination, and dependency backreference is validated as it is
-/// decoded, and trailing payload bytes surface as one final error item.
-///
-/// This is the lazy counterpart of [`Trace::from_encoded`]: where
-/// `from_encoded` validates the whole stream up front (and later
-/// iteration cannot fail), `CheckedOps` fuses validation into first
-/// touch, which is what lets the memory-mapped reader in `trace_io`
-/// decode a chunk without ever materializing a second copy of its
-/// columns. The iterator is fused: after yielding an `Err` it yields
-/// `None` forever.
-#[derive(Clone, Debug)]
-pub struct CheckedOps<'a> {
-    tags: &'a [u8],
-    data: &'a [u8],
-    pos: usize,
-    off: usize,
-    base_id: OpId,
-    state: DeltaState,
-    failed: bool,
-    trailing_checked: bool,
-}
-
-impl<'a> CheckedOps<'a> {
-    /// Checked decode of complete columns from the stream start.
-    pub fn new(tags: &'a [u8], data: &'a [u8]) -> Self {
-        Self::resume(tags, data, 0, 0, 0)
-    }
-
-    /// Checked decode of a chunk cut mid-stream: `base_id` is the
-    /// absolute [`OpId`] of the first op and `prev_va`/`prev_oid` are
-    /// the delta bases at the chunk start (see [`ChunkBounds`]).
-    pub fn resume(
-        tags: &'a [u8],
-        data: &'a [u8],
-        base_id: OpId,
-        prev_va: u64,
-        prev_oid: u64,
-    ) -> Self {
-        CheckedOps {
-            tags,
-            data,
-            pos: 0,
-            off: 0,
-            base_id,
-            state: DeltaState { prev_va, prev_oid },
-            failed: false,
-            trailing_checked: false,
-        }
-    }
-
-    /// Delta bases after the last decoded op — the snapshot to seed the
-    /// next chunk's decoder with.
-    pub fn delta_bases(&self) -> (u64, u64) {
-        (self.state.prev_va, self.state.prev_oid)
-    }
-}
-
-impl Iterator for CheckedOps<'_> {
-    type Item = Result<TraceOp, TraceCorruption>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let Some(&tag) = self.tags.get(self.pos) else {
-            // Spine exhausted: any payload bytes left over are garbage.
-            if !self.trailing_checked {
-                self.trailing_checked = true;
-                if self.off != self.data.len() {
-                    self.failed = true;
-                    return Some(Err(TraceCorruption::TrailingData));
-                }
-            }
-            return None;
-        };
-        let id = self.base_id + self.pos as u64;
-        match self.state.decode(tag, self.data, &mut self.off, id) {
-            Ok(op) => {
-                self.pos += 1;
-                Some(Ok(op))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
         }
     }
 }
@@ -1396,66 +1304,6 @@ mod tests {
             at += b.ops;
         }
         assert_eq!(at, whole.len());
-    }
-
-    #[test]
-    fn checked_ops_matches_unchecked_decode() {
-        let t = mixed_trace(80);
-        let (tags, data) = t.encoded_columns();
-        let checked: Result<Vec<TraceOp>, TraceCorruption> = CheckedOps::new(tags, data).collect();
-        assert_eq!(checked.unwrap(), t.ops().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn checked_ops_resumes_from_chunk_snapshots() {
-        let t = mixed_trace(90);
-        let whole: Vec<TraceOp> = t.ops().collect();
-        let (tags, data) = t.encoded_columns();
-        let mut decoded = Vec::new();
-        for b in t.chunk_bounds(29) {
-            let chunk_tags = &tags[b.first_op as usize..b.first_op as usize + b.ops];
-            let chunk_data = &data[b.payload_off..b.payload_off + b.payload_len];
-            let co = CheckedOps::resume(chunk_tags, chunk_data, b.first_op, b.prev_va, b.prev_oid);
-            for r in co {
-                decoded.push(r.unwrap());
-            }
-        }
-        assert_eq!(decoded, whole);
-    }
-
-    #[test]
-    fn checked_ops_surfaces_errors_and_fuses() {
-        // Trailing payload garbage.
-        let t = mixed_trace(10);
-        let (tags, data) = t.encoded_columns();
-        let mut fat = data.to_vec();
-        fat.push(0x00);
-        let results: Vec<_> = CheckedOps::new(tags, &fat).collect();
-        assert_eq!(
-            results.last(),
-            Some(&Err(TraceCorruption::TrailingData)),
-            "trailing garbage is the final item"
-        );
-        assert_eq!(results.len(), t.len() + 1);
-
-        // Truncated payload: fused after the first error.
-        let cut = &data[..data.len() - 1];
-        let mut it = CheckedOps::new(tags, cut);
-        let mut saw_err = false;
-        for r in it.by_ref() {
-            if r.is_err() {
-                assert_eq!(r, Err(TraceCorruption::Truncated));
-                saw_err = true;
-            } else {
-                assert!(!saw_err, "no items after the first error");
-            }
-        }
-        assert!(saw_err);
-        assert_eq!(it.next(), None, "fused");
-
-        // Undefined flag bits.
-        let bad: Vec<_> = CheckedOps::new(&[K_FENCE | F_BIT0], &[]).collect();
-        assert_eq!(bad, vec![Err(TraceCorruption::BadTag(K_FENCE | F_BIT0))]);
     }
 
     #[test]

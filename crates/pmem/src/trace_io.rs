@@ -19,38 +19,16 @@
 //! chunk. [`load`] validates the whole stream eagerly (every varint,
 //! flag combination, and dependency backreference) via
 //! [`Trace::from_encoded`], so a loaded trace replays infallibly.
-//!
-//! The second, chunked layout (`POATTRC3`, written by [`save_chunked`])
-//! exists for **zero-copy replay**: [`MmapTrace::open`] memory-maps the
-//! file, verifies only chunk framing, lengths, and checksums up front
-//! (the structural pass), and decodes ops lazily out of the mapping with
-//! op-level validation fused into first touch — no second whole-column
-//! buffer ever exists. Each chunk header carries the delta-decoder
-//! snapshot at its start, so chunks double as the chunk-aligned work
-//! units of sharded replay (see `Trace::chunk_bounds`). DESIGN.md §5a
-//! specifies both byte layouts.
+//! DESIGN.md §5a specifies the byte layout.
 
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::mmap::Mapping;
-use crate::trace::{get_varint, put_varint, CheckedOps, Trace, TraceCorruption, TraceOp};
+use crate::trace::{Trace, TraceCorruption};
 
 const MAGIC: &[u8; 8] = b"POATTRC2";
 const HEADER_BYTES: usize = 8 + 8 + 8;
-
-/// Magic of the chunked, memory-mappable layout (see [`save_chunked`]).
-const MAGIC_CHUNKED: &[u8; 8] = b"POATTRC3";
-/// Fixed part of the chunked header: magic + chunk count + total ops.
-const CHUNKED_HEADER_BYTES: usize = 8 + 8 + 8;
-
-/// Default ops per chunk for [`save_chunked`]: big enough that chunk
-/// headers are noise (< 0.01% of the file), small enough that full-scale
-/// traces split into enough chunk-aligned shards to occupy the worker
-/// pool.
-pub const DEFAULT_CHUNK_OPS: usize = 1 << 20;
 
 /// Size of the staging buffer `save`/`load` stream the columns through.
 /// 1 MiB keeps syscall counts low while bounding transient memory.
@@ -68,9 +46,6 @@ pub enum TraceDecodeError {
     /// The columns are internally inconsistent (bad varint, dangling
     /// dependency backreference, or leftover payload bytes).
     Corrupt(TraceCorruption),
-    /// A chunk's stored checksum does not match its bytes (chunked
-    /// layout only; the index is the zero-based chunk).
-    ChecksumMismatch(usize),
     /// An underlying I/O failure (file read/write).
     Io(std::io::Error),
 }
@@ -82,9 +57,6 @@ impl fmt::Display for TraceDecodeError {
             TraceDecodeError::Truncated => write!(f, "trace truncated"),
             TraceDecodeError::BadTag(t) => write!(f, "bad op tag {t:#04x}"),
             TraceDecodeError::Corrupt(c) => write!(f, "corrupt trace: {c:?}"),
-            TraceDecodeError::ChecksumMismatch(i) => {
-                write!(f, "chunk {i} checksum mismatch")
-            }
             TraceDecodeError::Io(e) => write!(f, "i/o: {e}"),
         }
     }
@@ -215,16 +187,12 @@ fn read_column(f: &mut impl Read, len: usize) -> Result<Vec<u8>, TraceDecodeErro
     Ok(col)
 }
 
-/// Reads a trace from a file, streaming and validating it. Accepts both
-/// the flat legacy layout and the chunked layout (the latter is opened
-/// via [`MmapTrace`] and materialized, so `load` stays the universal
-/// eager reader).
+/// Reads a trace from a file, streaming and validating it.
 ///
 /// # Errors
 ///
 /// [`TraceDecodeError`] on I/O failure or malformed contents.
 pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceDecodeError> {
-    let path = path.as_ref();
     let mut f = std::fs::File::open(path)?;
     let mut header = [0u8; HEADER_BYTES];
     f.read_exact(&mut header).map_err(|e| {
@@ -234,10 +202,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceDecodeError> {
             TraceDecodeError::Io(e)
         }
     })?;
-    if &header[..8] == MAGIC_CHUNKED {
-        drop(f);
-        return MmapTrace::open(path)?.to_trace();
-    }
     if &header[..8] != MAGIC {
         return Err(TraceDecodeError::BadMagic);
     }
@@ -255,409 +219,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceDecodeError> {
         .counter("pmem.trace.loaded_bytes")
         .add((HEADER_BYTES + ops_len + payload_len) as u64);
     Ok(trace)
-}
-
-// ---------------------------------------------------------------------
-// Chunked layout + memory-mapped reader
-// ---------------------------------------------------------------------
-//
-// The chunked layout splits the columns into independently decodable
-// chunks so a reader can (a) validate *structure* — framing, lengths,
-// checksums — without decoding a single op, and (b) decode any chunk
-// without replaying the stream before it (each header carries the
-// delta-decoder snapshot at its chunk start, mirroring
-// `trace::ChunkBounds`):
-//
-// ```text
-// magic "POATTRC3" (8 B) | chunk count (u64 LE) | total ops (u64 LE)
-// per chunk:
-//   ops (varint) | payload len (varint)
-//   prev_va (varint) | prev_oid (varint)       -- delta bases at entry
-//   checksum (u64 LE, FNV-1a over the four varints ++ tags ++ payload)
-//   tag spine (ops bytes) | payload (payload-len bytes)
-// ```
-//
-// This is the eyros discipline (SNIPPETS.md §2) applied to a columnar
-// stream: offsets and lengths up front, bulk bytes addressed in place,
-// so a memory-mapped file needs no second whole-column buffer.
-
-/// FNV-1a 64 over the concatenation of `parts`.
-fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Serializes a trace into the chunked layout in memory (the byte-exact
-/// content [`save_chunked`] writes).
-pub fn to_chunked_bytes(trace: &Trace, ops_per_chunk: usize) -> Vec<u8> {
-    let (tags, data) = trace.encoded_columns();
-    let bounds = trace.chunk_bounds(ops_per_chunk);
-    let mut out =
-        Vec::with_capacity(CHUNKED_HEADER_BYTES + tags.len() + data.len() + bounds.len() * 24);
-    out.extend_from_slice(MAGIC_CHUNKED);
-    out.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(tags.len() as u64).to_le_bytes());
-    for b in &bounds {
-        let chunk_tags = &tags[b.first_op as usize..b.first_op as usize + b.ops];
-        let chunk_data = &data[b.payload_off..b.payload_off + b.payload_len];
-        let mut fields = Vec::with_capacity(40);
-        put_varint(&mut fields, b.ops as u64);
-        put_varint(&mut fields, b.payload_len as u64);
-        put_varint(&mut fields, b.prev_va);
-        put_varint(&mut fields, b.prev_oid);
-        out.extend_from_slice(&fields);
-        out.extend_from_slice(&fnv1a64(&[&fields, chunk_tags, chunk_data]).to_le_bytes());
-        out.extend_from_slice(chunk_tags);
-        out.extend_from_slice(chunk_data);
-    }
-    out
-}
-
-/// Writes a trace to a file in the chunked, memory-mappable layout,
-/// streaming chunk by chunk (peak transient memory is one chunk's
-/// header, never a second copy of the columns).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save_chunked(
-    trace: &Trace,
-    path: impl AsRef<Path>,
-    ops_per_chunk: usize,
-) -> std::io::Result<()> {
-    let (tags, data) = trace.encoded_columns();
-    let bounds = trace.chunk_bounds(ops_per_chunk);
-    let mut f = std::fs::File::create(path)?;
-    let mut header = Vec::with_capacity(CHUNKED_HEADER_BYTES);
-    header.extend_from_slice(MAGIC_CHUNKED);
-    header.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
-    header.extend_from_slice(&(tags.len() as u64).to_le_bytes());
-    f.write_all(&header)?;
-    let mut written = header.len();
-    for b in &bounds {
-        let chunk_tags = &tags[b.first_op as usize..b.first_op as usize + b.ops];
-        let chunk_data = &data[b.payload_off..b.payload_off + b.payload_len];
-        let mut chunk_header = Vec::with_capacity(48);
-        put_varint(&mut chunk_header, b.ops as u64);
-        put_varint(&mut chunk_header, b.payload_len as u64);
-        put_varint(&mut chunk_header, b.prev_va);
-        put_varint(&mut chunk_header, b.prev_oid);
-        let checksum = fnv1a64(&[&chunk_header, chunk_tags, chunk_data]);
-        chunk_header.extend_from_slice(&checksum.to_le_bytes());
-        f.write_all(&chunk_header)?;
-        for piece in chunk_tags.chunks(CHUNK_BYTES) {
-            f.write_all(piece)?;
-        }
-        for piece in chunk_data.chunks(CHUNK_BYTES) {
-            f.write_all(piece)?;
-        }
-        written += chunk_header.len() + chunk_tags.len() + chunk_data.len();
-    }
-    poat_telemetry::global()
-        .counter("pmem.trace.saved_bytes")
-        .add(written as u64);
-    Ok(())
-}
-
-/// One chunk's resolved location within the mapped file.
-#[derive(Clone, Copy, Debug)]
-struct ChunkRegion {
-    /// Absolute op id of the chunk's first op.
-    first_op: u64,
-    /// Op (= tag byte) count.
-    ops: usize,
-    /// Byte offset of the tag spine within the file.
-    tag_off: usize,
-    /// Byte offset of the payload within the file.
-    payload_off: usize,
-    /// Payload byte length.
-    payload_len: usize,
-    /// Delta base for virtual addresses at chunk entry.
-    prev_va: u64,
-    /// Delta base for ObjectIDs at chunk entry.
-    prev_oid: u64,
-}
-
-/// A trace opened zero-copy from its on-disk bytes: ops decode lazily,
-/// straight out of the mapping.
-///
-/// Opening performs only the **structural pass** — magic, chunk
-/// framing, column lengths, and per-chunk checksums are verified with
-/// typed errors, without decoding (or copying) a single op. Op-level
-/// validation (varints, flag bits, dependency backreferences) is fused
-/// into [`MmapTrace::checked_ops`] and happens per chunk on first
-/// touch; a chunk that streams through cleanly is remembered as
-/// validated ([`MmapTrace::chunk_validated`]).
-///
-/// Both layouts open: the chunked `POATTRC3` file natively, and a
-/// legacy flat `POATTRC2` file as a single unchunked segment (no
-/// checksum to verify — its structural pass is the header length
-/// check).
-#[derive(Debug)]
-pub struct MmapTrace {
-    map: Mapping,
-    chunks: Vec<ChunkRegion>,
-    total_ops: usize,
-    validated: Vec<AtomicBool>,
-}
-
-impl MmapTrace {
-    /// Memory-maps `path` and runs the structural pass.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, plus every framing defect as its own
-    /// [`TraceDecodeError`]: a torn chunk header is `Truncated`, an
-    /// overlong varint length is `Corrupt(BadVarint)`, a chunk whose
-    /// declared extent overruns the file is `Truncated`, a checksum
-    /// mismatch is `ChecksumMismatch`, and bytes after the last chunk
-    /// are `Corrupt(TrailingData)`.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceDecodeError> {
-        let map = Mapping::open(path)?;
-        let this = Self::from_mapping(map)?;
-        poat_telemetry::global()
-            .counter("pmem.trace.mapped_bytes")
-            .add(this.map.bytes().len() as u64);
-        Ok(this)
-    }
-
-    /// Runs the structural pass over an in-memory byte buffer (the unit
-    /// tests and fuzzers go through this; [`MmapTrace::open`] is this
-    /// plus a real mapping).
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`MmapTrace::open`], minus I/O.
-    pub fn from_owned(bytes: Vec<u8>) -> Result<Self, TraceDecodeError> {
-        Self::from_mapping(Mapping::Owned(bytes))
-    }
-
-    fn from_mapping(map: Mapping) -> Result<Self, TraceDecodeError> {
-        let chunks = Self::structural_pass(map.bytes())?;
-        let total_ops = chunks.iter().map(|c| c.ops).sum();
-        let validated = chunks.iter().map(|_| AtomicBool::new(false)).collect();
-        Ok(MmapTrace {
-            map,
-            chunks,
-            total_ops,
-            validated,
-        })
-    }
-
-    /// Chunk framing, lengths, and checksums — no op decoding.
-    fn structural_pass(bytes: &[u8]) -> Result<Vec<ChunkRegion>, TraceDecodeError> {
-        if bytes.len() < 8 {
-            return Err(TraceDecodeError::Truncated);
-        }
-        if &bytes[..8] == MAGIC {
-            // Legacy flat layout: one unchunked segment, default bases.
-            if bytes.len() < HEADER_BYTES {
-                return Err(TraceDecodeError::Truncated);
-            }
-            let ops = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-            let payload = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-            let body = bytes.len() - HEADER_BYTES;
-            let (ops, payload_len) = columns_extent(ops, payload, body as u64)?;
-            return Ok(vec![ChunkRegion {
-                first_op: 0,
-                ops,
-                tag_off: HEADER_BYTES,
-                payload_off: HEADER_BYTES + ops,
-                payload_len,
-                prev_va: 0,
-                prev_oid: 0,
-            }]);
-        }
-        if &bytes[..8] != MAGIC_CHUNKED {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        if bytes.len() < CHUNKED_HEADER_BYTES {
-            return Err(TraceDecodeError::Truncated);
-        }
-        let chunk_count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let total_ops = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-        let mut chunks = Vec::new();
-        let mut off = CHUNKED_HEADER_BYTES;
-        let mut first_op = 0u64;
-        for chunk in 0..chunk_count {
-            // A header varint that runs off the file end is a torn
-            // header (Truncated); an overlong encoding is BadVarint.
-            let read_field = |off: &mut usize| -> Result<u64, TraceDecodeError> {
-                get_varint(bytes, off).map_err(TraceDecodeError::from)
-            };
-            let fields_start = off;
-            let ops = read_field(&mut off)?;
-            let payload_len = read_field(&mut off)?;
-            let prev_va = read_field(&mut off)?;
-            let prev_oid = read_field(&mut off)?;
-            let fields = &bytes[fields_start..off];
-            let checksum_end = off
-                .checked_add(8)
-                .filter(|&e| e <= bytes.len())
-                .ok_or(TraceDecodeError::Truncated)?;
-            let checksum =
-                u64::from_le_bytes(bytes[off..checksum_end].try_into().expect("8-byte slice"));
-            off = checksum_end;
-            let remaining = (bytes.len() - off) as u64;
-            let extent = ops
-                .checked_add(payload_len)
-                .ok_or(TraceDecodeError::Truncated)?;
-            if extent > remaining {
-                return Err(TraceDecodeError::Truncated);
-            }
-            let (ops, payload_len) = (ops as usize, payload_len as usize);
-            let region = ChunkRegion {
-                first_op,
-                ops,
-                tag_off: off,
-                payload_off: off + ops,
-                payload_len,
-                prev_va,
-                prev_oid,
-            };
-            let tags = &bytes[region.tag_off..region.tag_off + region.ops];
-            let data = &bytes[region.payload_off..region.payload_off + region.payload_len];
-            if fnv1a64(&[fields, tags, data]) != checksum {
-                return Err(TraceDecodeError::ChecksumMismatch(chunk as usize));
-            }
-            off = region.payload_off + region.payload_len;
-            first_op += region.ops as u64;
-            chunks.push(region);
-        }
-        if off != bytes.len() {
-            return Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData));
-        }
-        if first_op < total_ops {
-            return Err(TraceDecodeError::Truncated);
-        }
-        if first_op > total_ops {
-            return Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData));
-        }
-        Ok(chunks)
-    }
-
-    /// Total op count (summed over chunks; structural, no decoding).
-    pub fn len(&self) -> usize {
-        self.total_ops
-    }
-
-    /// Whether the trace holds no ops.
-    pub fn is_empty(&self) -> bool {
-        self.total_ops == 0
-    }
-
-    /// Number of chunks in the mapping (1 for a legacy flat file).
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Whether chunk `i`'s payload has been fully decoded (and thereby
-    /// validated) by a previous [`MmapTrace::checked_ops`] pass.
-    pub fn chunk_validated(&self, i: usize) -> bool {
-        self.validated
-            .get(i)
-            .map(|v| v.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
-    /// Whether the bytes come from a real memory mapping (`false` on
-    /// the owned fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
-    /// Streams every op, decoding lazily out of the mapping with full
-    /// op-level validation fused in (the lazy counterpart of
-    /// [`Trace::from_encoded`]'s eager pass). The iterator is fused
-    /// after the first error.
-    pub fn checked_ops(&self) -> MmapOps<'_> {
-        MmapOps {
-            trace: self,
-            chunk: 0,
-            cur: None,
-            failed: false,
-        }
-    }
-
-    /// Materializes the mapped trace into an owned, eagerly validated
-    /// [`Trace`] (the bit-identity reference path).
-    ///
-    /// # Errors
-    ///
-    /// The first op-level defect found in any chunk.
-    pub fn to_trace(&self) -> Result<Trace, TraceDecodeError> {
-        let mut t = Trace::new();
-        for op in self.checked_ops() {
-            t.push(op?);
-        }
-        Ok(t)
-    }
-
-    fn chunk_decoder(&self, i: usize) -> CheckedOps<'_> {
-        let bytes = self.map.bytes();
-        let c = &self.chunks[i];
-        CheckedOps::resume(
-            &bytes[c.tag_off..c.tag_off + c.ops],
-            &bytes[c.payload_off..c.payload_off + c.payload_len],
-            c.first_op,
-            c.prev_va,
-            c.prev_oid,
-        )
-    }
-}
-
-/// Lazy, validating op stream over an [`MmapTrace`] (see
-/// [`MmapTrace::checked_ops`]).
-#[derive(Debug)]
-pub struct MmapOps<'a> {
-    trace: &'a MmapTrace,
-    chunk: usize,
-    cur: Option<CheckedOps<'a>>,
-    failed: bool,
-}
-
-impl Iterator for MmapOps<'_> {
-    type Item = Result<TraceOp, TraceDecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(cur) = &mut self.cur {
-                match cur.next() {
-                    Some(Ok(op)) => return Some(Ok(op)),
-                    Some(Err(e)) => {
-                        self.failed = true;
-                        return Some(Err(e.into()));
-                    }
-                    None => {
-                        // Chunk streamed through cleanly: first-touch
-                        // validation of its payload is complete.
-                        self.trace.validated[self.chunk].store(true, Ordering::Relaxed);
-                        self.chunk += 1;
-                        self.cur = None;
-                    }
-                }
-            }
-            if self.cur.is_none() {
-                if self.chunk >= self.trace.chunks.len() {
-                    return None;
-                }
-                self.cur = Some(self.trace.chunk_decoder(self.chunk));
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.trace.total_ops))
-    }
 }
 
 #[cfg(test)]
@@ -825,140 +386,6 @@ mod tests {
         })
     }
 
-    #[test]
-    fn chunked_roundtrip_via_mmap() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join(format!("poat-trace-chunk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.poattrc3");
-        // Tiny chunks so the sample trace actually splits.
-        save_chunked(&t, &path, 8).unwrap();
-        let m = MmapTrace::open(&path).unwrap();
-        assert_eq!(m.len(), t.len());
-        assert!(m.num_chunks() > 1, "sample trace spans chunks");
-        #[cfg(unix)]
-        assert!(m.is_mapped());
-        let decoded: Result<Vec<TraceOp>, _> = m.checked_ops().collect();
-        assert_eq!(decoded.unwrap(), t.ops().collect::<Vec<_>>());
-        assert_eq!(m.to_trace().unwrap(), t);
-        // `load` reads the chunked layout too.
-        assert_eq!(load(&path).unwrap(), t);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_layout_opens_as_single_chunk() {
-        let t = sample_trace();
-        let m = MmapTrace::from_owned(to_bytes(&t)).unwrap();
-        assert_eq!(m.num_chunks(), 1);
-        assert_eq!(m.len(), t.len());
-        assert_eq!(m.to_trace().unwrap(), t);
-    }
-
-    #[test]
-    fn payload_validation_happens_on_first_touch() {
-        let t = sample_trace();
-        let m = MmapTrace::from_owned(to_chunked_bytes(&t, 8)).unwrap();
-        assert!(m.num_chunks() >= 2);
-        assert!(
-            (0..m.num_chunks()).all(|i| !m.chunk_validated(i)),
-            "the structural pass decodes no payload"
-        );
-        // Touch just past the first chunk: it completes and is marked
-        // validated; later chunks stay untouched.
-        let first_chunk_ops = 8;
-        let _: Vec<_> = m.checked_ops().take(first_chunk_ops + 1).collect();
-        assert!(m.chunk_validated(0));
-        assert!(!m.chunk_validated(m.num_chunks() - 1));
-        // A full pass validates everything.
-        let _: Vec<_> = m.checked_ops().collect();
-        assert!((0..m.num_chunks()).all(|i| m.chunk_validated(i)));
-    }
-
-    #[test]
-    fn chunked_framing_defects_get_typed_errors() {
-        let t = sample_trace();
-        let good = to_chunked_bytes(&t, 8);
-
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(
-            MmapTrace::from_owned(bad),
-            Err(TraceDecodeError::BadMagic)
-        ));
-
-        // Torn fixed header.
-        assert!(matches!(
-            MmapTrace::from_owned(good[..12].to_vec()),
-            Err(TraceDecodeError::Truncated)
-        ));
-
-        // Torn chunk header: cut inside the first chunk's varints.
-        assert!(matches!(
-            MmapTrace::from_owned(good[..CHUNKED_HEADER_BYTES + 1].to_vec()),
-            Err(TraceDecodeError::Truncated)
-        ));
-
-        // Oversized varint length: replace the first chunk's `ops`
-        // varint with an 11-byte overlong encoding.
-        let mut bad = good[..CHUNKED_HEADER_BYTES].to_vec();
-        bad.extend_from_slice(&[0x80; 11]);
-        bad.extend_from_slice(&good[CHUNKED_HEADER_BYTES..]);
-        assert!(matches!(
-            MmapTrace::from_owned(bad),
-            Err(TraceDecodeError::Corrupt(TraceCorruption::BadVarint))
-        ));
-
-        // Flipped payload byte: the chunk checksum catches it in the
-        // structural pass.
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert!(matches!(
-            MmapTrace::from_owned(bad),
-            Err(TraceDecodeError::ChecksumMismatch(_))
-        ));
-
-        // Trailing garbage after the last chunk.
-        let mut bad = good.clone();
-        bad.push(0x00);
-        assert!(matches!(
-            MmapTrace::from_owned(bad),
-            Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData))
-        ));
-
-        // Chunk extent overrunning the file.
-        let mut bad = good.clone();
-        bad.truncate(good.len() - 2);
-        assert!(matches!(
-            MmapTrace::from_owned(bad),
-            Err(TraceDecodeError::Truncated | TraceDecodeError::ChecksumMismatch(_))
-        ));
-
-        // The pristine bytes still open.
-        assert!(MmapTrace::from_owned(good).is_ok());
-    }
-
-    #[test]
-    fn chunked_total_ops_mismatch_rejected() {
-        let t = sample_trace();
-        let mut bytes = to_chunked_bytes(&t, 8);
-        // Inflate the declared total op count.
-        let declared = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        bytes[16..24].copy_from_slice(&(declared + 1).to_le_bytes());
-        assert!(matches!(
-            MmapTrace::from_owned(bytes.clone()),
-            Err(TraceDecodeError::Truncated)
-        ));
-        // Deflate it.
-        bytes[16..24].copy_from_slice(&(declared - 1).to_le_bytes());
-        assert!(matches!(
-            MmapTrace::from_owned(bytes),
-            Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData))
-        ));
-    }
-
     proptest! {
         #[test]
         fn arbitrary_traces_roundtrip(ops in arb_ops()) {
@@ -983,20 +410,12 @@ mod tests {
             let _ = from_bytes(&bytes);
         }
 
+        /// Mutate each framing field of a valid file and assert the
+        /// exact typed error through BOTH readers — the in-memory
+        /// `from_bytes` and the streaming file reader `load`, which parse
+        /// the header separately and must agree.
         #[test]
-        fn chunked_traces_roundtrip_via_mmap(ops in arb_ops(), per in 1usize..64) {
-            let t: Trace = ops.iter().copied().collect();
-            let m = MmapTrace::from_owned(to_chunked_bytes(&t, per)).unwrap();
-            prop_assert_eq!(m.len(), t.len());
-            prop_assert_eq!(m.to_trace().unwrap(), t);
-        }
-
-        /// Satellite: mutate each framing field of a valid legacy
-        /// (POATTRC2) file and assert the exact typed error — through
-        /// BOTH readers (eager `from_bytes` and the mmap structural
-        /// pass), which must agree.
-        #[test]
-        fn legacy_framing_mutations_get_exact_errors(
+        fn framing_mutations_get_exact_errors(
             ops in arb_ops(),
             field in 0usize..4,
             delta in 1u64..1_000,
@@ -1004,7 +423,7 @@ mod tests {
             let t: Trace = ops.iter().copied().collect();
             let good = to_bytes(&t);
             let mut bytes = good.clone();
-            let expect_legacy = match field {
+            let expect = match field {
                 0 => {
                     // Magic.
                     bytes[(delta as usize) % 8] ^= 0xFF;
@@ -1042,73 +461,13 @@ mod tests {
                 Err(_) => "other",
                 Ok(_) => "ok",
             };
-            prop_assert_eq!(classify(from_bytes(&bytes)), expect_legacy);
-            prop_assert_eq!(
-                classify(MmapTrace::from_owned(bytes).and_then(|m| m.to_trace())),
-                expect_legacy
-            );
-        }
-
-        /// Satellite: same discipline for the chunked layout — mutate
-        /// each framing field of a valid POATTRC3 file and assert the
-        /// exact typed error from the mmap structural pass.
-        #[test]
-        fn chunked_framing_mutations_get_exact_errors(
-            ops in arb_ops(),
-            per in 1usize..32,
-            field in 0usize..4,
-            delta in 1u64..255,
-        ) {
-            let mut t: Trace = ops.iter().copied().collect();
-            if t.is_empty() {
-                // Framing mutations need at least one chunk to mutate.
-                t.push(TraceOp::Fence);
-            }
-            let good = to_chunked_bytes(&t, per);
-            let mut bytes = good.clone();
-            let expect = match field {
-                0 => {
-                    bytes[(delta as usize) % 8] ^= 0xFF;
-                    "BadMagic"
-                }
-                1 => {
-                    // Torn chunk header: cut inside the first chunk header.
-                    bytes.truncate(CHUNKED_HEADER_BYTES + (delta as usize) % 4);
-                    "Truncated"
-                }
-                2 => {
-                    // Flip a byte anywhere in the first chunk's extent:
-                    // its checksum must catch it.
-                    let at = CHUNKED_HEADER_BYTES
-                        + 12
-                        + (delta as usize) % (bytes.len() - CHUNKED_HEADER_BYTES - 12);
-                    bytes[at] = bytes[at].wrapping_add(1);
-                    "Checksum"
-                }
-                _ => {
-                    bytes.extend(std::iter::repeat(0xAAu8).take(delta as usize % 16 + 1));
-                    "TrailingData"
-                }
-            };
-            let got = match MmapTrace::from_owned(bytes) {
-                Err(TraceDecodeError::BadMagic) => "BadMagic",
-                Err(TraceDecodeError::Truncated) => "Truncated",
-                Err(TraceDecodeError::ChecksumMismatch(_)) => "Checksum",
-                Err(TraceDecodeError::Corrupt(TraceCorruption::TrailingData)) => "TrailingData",
-                Err(_) => "other",
-                Ok(_) => "ok",
-            };
-            // A byte flip may land in a chunk-header varint instead of
-            // the checksummed extent; framing errors are acceptable
-            // there, silent success or a panic never is.
-            if expect == "Checksum" {
-                prop_assert!(
-                    got == "Checksum" || got == "Truncated" || got == "TrailingData",
-                    "got {}", got
-                );
-            } else {
-                prop_assert_eq!(got, expect);
-            }
+            prop_assert_eq!(classify(from_bytes(&bytes)), expect);
+            let path = std::env::temp_dir()
+                .join(format!("poat-trace-mutation-{}.poattrc", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            let loaded = load(&path);
+            std::fs::remove_file(&path).unwrap();
+            prop_assert_eq!(classify(loaded), expect);
         }
     }
 }

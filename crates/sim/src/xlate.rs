@@ -29,16 +29,20 @@ pub enum TranslateOutcome {
 }
 
 /// POLB + POT translation hardware for one core.
-pub struct TranslationUnit {
+///
+/// The unit borrows the page table from the machine state: it is frozen
+/// for the whole replay, and a copy per replay would only add several
+/// MiB of transient memory for a large run.
+pub struct TranslationUnit<'a> {
     cfg: TranslationConfig,
     polb: Box<dyn TranslationBuffer>,
     pot: Pot,
-    page_table: PageTable,
+    page_table: &'a PageTable,
     stats: TranslationStats,
     walk_timer: poat_telemetry::SpanTimer,
 }
 
-impl std::fmt::Debug for TranslationUnit {
+impl std::fmt::Debug for TranslationUnit<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TranslationUnit")
             .field("design", &self.cfg.design)
@@ -50,10 +54,10 @@ impl std::fmt::Debug for TranslationUnit {
     }
 }
 
-impl TranslationUnit {
+impl<'a> TranslationUnit<'a> {
     /// Builds the unit for a given configuration and end-of-run machine
     /// state (POT contents + page table) exported by the runtime.
-    pub fn new(cfg: TranslationConfig, state: &MachineState) -> Self {
+    pub fn new(cfg: TranslationConfig, state: &'a MachineState) -> Self {
         let polb: Box<dyn TranslationBuffer> = match cfg.design {
             PolbDesign::Pipelined => Box::new(PipelinedPolb::new(cfg.polb_entries)),
             PolbDesign::Parallel => Box::new(ParallelPolb::new(cfg.polb_entries)),
@@ -62,7 +66,7 @@ impl TranslationUnit {
             cfg,
             polb,
             pot: state.pot.clone(),
-            page_table: state.page_table.clone(),
+            page_table: &state.page_table,
             stats: TranslationStats::default(),
             walk_timer: poat_telemetry::global().span_timer(poat_telemetry::PHASE_POT_WALK),
         }
