@@ -83,7 +83,7 @@ fn help() -> ! {
          --inject MODE            clean | torn | drop-clwb | all\n                           \
          (default: clean+torn; drop-clwb is the negative control)\n  \
          --max-points N           evenly-spaced sample of N points per workload\n  \
-         --replay POINT:SEED      re-execute one crash point deterministically\n                           \
+         --replay POINT:SEED      re-execute one crash point (1-based) deterministically\n                           \
          (requires --workload; combine with --trace)\n\n\
          report (docs/OBSERVABILITY.md):\n  \
          queries the durable run ledger; every repro artifact and\n  \
@@ -550,14 +550,24 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
             }
             "--max-points" => {
                 let v = value_of("--max-points", &mut args);
-                max_points = Some(v.parse().unwrap_or_else(|_| bad("--max-points", &v)));
+                let n: usize = v.parse().unwrap_or_else(|_| bad("--max-points", &v));
+                if n == 0 {
+                    eprintln!("error: --max-points expects a positive point count, got `{v}`");
+                    std::process::exit(2);
+                }
+                max_points = Some(n);
             }
             "--replay" => {
                 let v = value_of("--replay", &mut args);
                 let parsed = v
                     .split_once(':')
                     .and_then(|(p, s)| Some((p.parse().ok()?, s.parse().ok()?)));
-                replay = Some(parsed.unwrap_or_else(|| bad("--replay", &v)));
+                let (point, seed) = parsed.unwrap_or_else(|| bad("--replay", &v));
+                if point == 0 {
+                    eprintln!("error: --replay POINT is 1-based, got `{v}`");
+                    std::process::exit(2);
+                }
+                replay = Some((point, seed));
             }
             "--trace" => trace_path = Some(value_of("--trace", &mut args)),
             "--trace-sample" => {

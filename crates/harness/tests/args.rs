@@ -45,6 +45,14 @@ fn missing_flag_values_die_with_targeted_errors() {
         (&["fig9a", "--hud", "0"][..], "--hud expects a positive"),
         (&["report", "--last", "x"][..], "bad value `x` for --last"),
         (&["report", "--diff", "1"][..], "bad value `1` for --diff"),
+        (
+            &["crash-sweep", "--max-points", "0"][..],
+            "--max-points expects a positive",
+        ),
+        (
+            &["crash-sweep", "--workload", "LL:ALL", "--replay", "0:7"][..],
+            "--replay POINT is 1-based",
+        ),
     ] {
         let out = repro(args);
         assert_eq!(

@@ -3,8 +3,9 @@
 //! These drive the same `crash_sweep` entry points as the
 //! `repro crash-sweep` subcommand: a sampled campaign over every quick
 //! workload must find zero clean/torn violations, replaying one cell
-//! must be bit-identical across invocations, and the drop-clwb negative
-//! control must show the verifier actually detects lost persists.
+//! must be bit-identical across invocations, four cells must reproduce
+//! pinned golden digests, and the drop-clwb negative control must show
+//! the verifier actually detects lost persists.
 
 use poat_harness::crash_sweep::{self, SweepOptions};
 use poat_harness::Scale;
@@ -69,6 +70,30 @@ fn replay_is_bit_identical_across_invocations() {
             assert_eq!(a.undo_applied, b.undo_applied, "point {point}");
             assert_eq!(a.violations, b.violations, "point {point}");
         }
+    }
+}
+
+/// Exact post-recovery digests of four cells, pinned so the digest value
+/// cannot drift silently: a change to the hash, to what it covers, or to
+/// the persisted state shows up here rather than as a self-consistent
+/// but different number.
+#[test]
+fn golden_digests_are_pinned() {
+    for (workload, point, seed, inject, digest) in [
+        ("LL:ALL", 144, 7, "clean", 0xaa7b_cc46_8bc1_75d4),
+        ("LL:EACH", 200, 1, "torn", 0x1937_62de_8183_c0b3),
+        ("BST:ALL", 144, 7, "torn", 0x71ac_f22c_9f5d_2d94),
+        ("BST:EACH", 100, 7, "drop-clwb", 0xa5d6_9612_f27e_b16e),
+    ] {
+        let (bench, pattern) = crash_sweep::parse_workload(workload).unwrap();
+        let mode = crash_sweep::parse_inject(inject).unwrap()[0];
+        let out = crash_sweep::run_point(bench, pattern, Scale::Quick, point, seed, mode)
+            .expect("cell runs");
+        assert_eq!(
+            out.digest, digest,
+            "{workload} {point}:{seed} [{inject}]: {:016x} != {digest:016x}",
+            out.digest
+        );
     }
 }
 

@@ -318,6 +318,23 @@ impl NvmDevice {
         }
     }
 
+    /// Borrows the whole frame at page-aligned `pa` without copying it:
+    /// `None` for a frame that was never written (it reads as zero).
+    /// Accounted exactly like a [`read`](Self::read) of one page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is not page-aligned or lies past the device end.
+    pub fn read_page(&mut self, pa: PhysAddr) -> Option<&[u8]> {
+        assert_eq!(pa.page_offset(), 0, "page read must be page-aligned");
+        assert!(pa.raw() < self.capacity, "read past end of device");
+        self.stats.bytes_read += PAGE_BYTES;
+        self.telemetry.reads.inc();
+        self.telemetry.bytes_read.add(PAGE_BYTES);
+        self.telemetry.read_bytes_hist.record(PAGE_BYTES);
+        self.page_for_read(pa.page_number()).map(|p| &p[..])
+    }
+
     /// Writes `data` starting at `pa`, dirtying the covered cache lines.
     ///
     /// # Panics
@@ -659,6 +676,19 @@ mod tests {
         let b2 = dev.alloc_frame().unwrap();
         assert_eq!(b2, b, "free list reuse");
         assert_eq!(dev.read_u64(b2), 0, "reallocated frame is zeroed");
+    }
+
+    #[test]
+    fn read_page_borrows_written_frames_only() {
+        let mut dev = NvmDevice::new(1 << 16);
+        let pa = dev.alloc_frame().unwrap();
+        assert_eq!(dev.read_page(pa), None, "never-written frame");
+        dev.write(pa.offset(100), b"abc");
+        let page = dev.read_page(pa).expect("written frame");
+        assert_eq!(page.len(), PAGE);
+        assert_eq!(&page[100..103], b"abc");
+        assert!(page[..100].iter().chain(&page[103..]).all(|&b| b == 0));
+        assert_eq!(dev.stats().bytes_read, 2 * PAGE_BYTES);
     }
 
     #[test]

@@ -161,6 +161,28 @@ impl NvMemory {
         Ok(())
     }
 
+    /// Visits `pages` whole pages starting at page-aligned `va`, passing
+    /// each page's contents to `f` without copying them — `None` for a
+    /// frame that was never written (all zeros). Accounted like a
+    /// [`read`](Self::read) of the same range.
+    ///
+    /// # Errors
+    ///
+    /// [`NvmError::Unmapped`] at the first unmapped page; earlier pages
+    /// have already been visited.
+    pub fn for_each_page(
+        &mut self,
+        va: VirtAddr,
+        pages: u64,
+        mut f: impl FnMut(Option<&[u8]>),
+    ) -> Result<(), NvmError> {
+        for p in 0..pages {
+            let pa = self.translate(va.offset(p * PAGE_BYTES))?;
+            f(self.device.read_page(pa));
+        }
+        Ok(())
+    }
+
     /// Writes `data` at `va` (may span pages).
     ///
     /// # Errors
@@ -307,6 +329,34 @@ mod tests {
         let mut mem = NvMemory::new(1 << 20, 1);
         let va = VirtAddr::new(0x4000_0000_0000);
         assert_eq!(mem.read_u64(va), Err(NvmError::Unmapped(va)));
+    }
+
+    #[test]
+    fn for_each_page_over_unmapped_range_errors() {
+        let mut mem = NvMemory::new(1 << 20, 1);
+        let va = VirtAddr::new(0x4000_0000_0000);
+        let mut visited = 0;
+        let r = mem.for_each_page(va, 2, |_| visited += 1);
+        assert_eq!(r, Err(NvmError::Unmapped(va)));
+        assert_eq!(visited, 0);
+    }
+
+    #[test]
+    fn for_each_page_is_accounted_like_read() {
+        let mut mem = NvMemory::new(1 << 20, 1);
+        let (base, _) = mem.map_new(3 * PAGE_BYTES).unwrap();
+        mem.write_u64(base.offset(PAGE_BYTES + 8), 5).unwrap();
+        let before = mem.device_stats().bytes_read;
+        let mut buf = vec![0u8; 3 * PAGE_BYTES as usize];
+        mem.read(base, &mut buf).unwrap();
+        let by_read = mem.device_stats().bytes_read - before;
+
+        let mut seen = Vec::new();
+        mem.for_each_page(base, 3, |p| seen.extend_from_slice(p.unwrap_or(&[0; 4096])))
+            .unwrap();
+        let by_pages = mem.device_stats().bytes_read - before - by_read;
+        assert_eq!(by_pages, by_read);
+        assert_eq!(seen, buf, "page view matches the copied bytes");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! Campaign counters land in the global telemetry registry under
 //! `pmem.faultpoint.*` (see `docs/METRICS.md`).
 
+use poat_core::PAGE_BYTES;
 use poat_nvm::{BoundaryKind, FaultPlan};
 
 use crate::error::PmemError;
@@ -26,6 +27,27 @@ use crate::runtime::Runtime;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Bytes per all-zero run the digest folds into one multiply.
+const ZERO_RUN: usize = 64;
+
+/// FNV-1a of a zero byte is `h = (h ^ 0) * P`, so `n` zero bytes are one
+/// multiply by `P^n` — the identity that lets [`state_digest`] skip
+/// never-written pages and zero runs without changing its value.
+const fn fnv_prime_pow(n: u64) -> u64 {
+    let mut acc = 1u64;
+    let mut i = 0;
+    while i < n {
+        acc = acc.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    acc
+}
+
+/// `P^4096`: one never-written page.
+const ZERO_PAGE_MUL: u64 = fnv_prime_pow(PAGE_BYTES);
+/// `P^64`: one all-zero run inside a written page.
+const ZERO_RUN_MUL: u64 = fnv_prime_pow(ZERO_RUN as u64);
 
 /// How a sweep perturbs the persistence stream at the crash point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -249,6 +271,10 @@ pub fn verify_recovery(rt: &mut Runtime) -> Result<Vec<String>, PmemError> {
 
 /// FNV-1a digest over the contents of every open pool, in pool-id order.
 ///
+/// Every pool byte enters the hash, but never-written pages and all-zero
+/// 64-byte runs go in as a single multiply by `P^n`, which is exactly
+/// what `n` byte-wise zero mixes compute — the value is plain FNV-1a.
+///
 /// Pool contents reference objects by ObjectID (never by virtual
 /// address), so the digest is independent of the post-crash ASLR layout:
 /// two recoveries of the same crash agree bit for bit.
@@ -268,9 +294,18 @@ pub fn state_digest(rt: &mut Runtime) -> Result<u64, PmemError> {
         for b in id.raw().to_le_bytes() {
             mix(&mut h, b);
         }
-        for b in rt.pool_bytes(id)? {
-            mix(&mut h, b);
-        }
+        rt.pool_pages(id, |page| match page {
+            None => h = h.wrapping_mul(ZERO_PAGE_MUL),
+            Some(bytes) => {
+                for run in bytes.chunks_exact(ZERO_RUN) {
+                    if run.iter().fold(0, |a, &b| a | b) == 0 {
+                        h = h.wrapping_mul(ZERO_RUN_MUL);
+                    } else {
+                        run.iter().for_each(|&b| mix(&mut h, b));
+                    }
+                }
+            }
+        })?;
     }
     Ok(h)
 }
@@ -351,6 +386,66 @@ mod tests {
                         out.violations
                     );
                 }
+            }
+        }
+    }
+
+    /// Plain byte-at-a-time FNV-1a, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The digest's definition: FNV-1a over each pool id and a
+    /// zero-filled copy of that pool, in pool-id order.
+    fn bytewise_digest(rt: &mut Runtime) -> u64 {
+        let mut ids = rt.open_pool_ids();
+        ids.sort();
+        let mut bytes = Vec::new();
+        for id in ids {
+            bytes.extend_from_slice(&id.raw().to_le_bytes());
+            rt.pool_pages(id, |page| {
+                bytes.extend_from_slice(page.unwrap_or(&[0; PAGE_BYTES as usize]))
+            })
+            .unwrap();
+        }
+        fnv1a(FNV_OFFSET, &bytes)
+    }
+
+    #[test]
+    fn zero_multipliers_equal_bytewise_zero_mixes() {
+        assert_eq!(
+            fnv1a(FNV_OFFSET, &[0; 4096]),
+            FNV_OFFSET.wrapping_mul(ZERO_PAGE_MUL)
+        );
+        assert_eq!(
+            fnv1a(FNV_OFFSET, &[0; 64]),
+            FNV_OFFSET.wrapping_mul(ZERO_RUN_MUL)
+        );
+    }
+
+    /// The fast digest equals plain FNV-1a over every pool byte at every
+    /// crash point, under clean and torn crashes.
+    #[test]
+    fn state_digest_matches_bytewise_oracle_at_every_point() {
+        let points = enumerate_crash_points(build, churn).unwrap();
+        for torn_lines in [false, true] {
+            for p in &points {
+                let mut rt = build();
+                rt.arm_fault_plan(FaultPlan {
+                    crash_after: Some(p.index),
+                    torn_lines,
+                    ..FaultPlan::default()
+                });
+                assert!(matches!(churn(&mut rt), Err(PmemError::InjectedCrash)));
+                let mut rt = rt.crash_and_recover(7).unwrap();
+                assert_eq!(
+                    state_digest(&mut rt).unwrap(),
+                    bytewise_digest(&mut rt),
+                    "point {} (torn: {torn_lines})",
+                    p.index
+                );
             }
         }
     }

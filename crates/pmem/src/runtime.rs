@@ -826,17 +826,22 @@ impl Runtime {
         self.mem.crash_pending()
     }
 
-    /// A pool's full current contents, read straight from the memory
-    /// system with no trace traffic: state digests and diagnostics.
+    /// Visits a pool's current contents page by page, in address order,
+    /// straight from the memory system with no trace traffic and no copy:
+    /// `f` gets each page's bytes, or `None` for a page never written
+    /// (all zeros). Used by state digests.
     ///
     /// # Errors
     ///
     /// [`PmemError::PoolNotOpen`] if the pool is not mapped.
-    pub fn pool_bytes(&mut self, pool: PoolId) -> Result<Vec<u8>, PmemError> {
+    pub fn pool_pages(
+        &mut self,
+        pool: PoolId,
+        f: impl FnMut(Option<&[u8]>),
+    ) -> Result<(), PmemError> {
         let p = self.pool_of(ObjectId::new(pool, 0))?;
-        let mut buf = vec![0u8; p.size as usize];
-        self.mem.read(p.base, &mut buf)?;
-        Ok(buf)
+        self.mem.for_each_page(p.base, p.size / PAGE_BYTES, f)?;
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -63,12 +63,12 @@ cargo run --release -p poat-harness --bin repro --locked --offline -- \
   trace-roundtrip --scale quick --dir "$trace_dir"
 
 echo "==> repro crash-sweep smoke (offline)"
-# Quick-scale crash campaign, evenly-spaced point sample to bound CI
-# time; exits non-zero on any recovery-invariant violation
-# (EXPERIMENTS.md, "Crash-point sweep"). The full per-point sweep runs
-# in the harness e2e tests and via `repro crash-sweep --scale quick`.
+# Quick-scale crash campaign over every enumerated point (a few seconds
+# on two cores), with the drop-clwb negative control alongside clean and
+# torn crashes; exits non-zero on any clean/torn recovery-invariant
+# violation (EXPERIMENTS.md, "Crash-point sweep").
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  crash-sweep --scale quick --max-points 40 --ledger "$ledger"
+  crash-sweep --scale quick --inject all --ledger "$ledger"
 
 echo "==> repro serve smoke (offline)"
 # Serve mode end to end (docs/OBSERVABILITY.md): submit two quick jobs
