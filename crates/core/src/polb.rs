@@ -22,7 +22,7 @@ use crate::addr::PAGE_BYTES;
 use crate::oid::{ObjectId, PoolId};
 use crate::stats::PolbStats;
 use poat_telemetry::events::{self, EventKind};
-use poat_telemetry::Counter;
+use poat_telemetry::{Registry, Tally};
 
 /// Common interface over the two POLB designs.
 ///
@@ -51,8 +51,15 @@ pub trait TranslationBuffer {
     /// Hit/miss counters accumulated by `translate`.
     fn stats(&self) -> &PolbStats;
 
-    /// Resets the hit/miss counters (e.g. after warm-up).
+    /// Resets the hit/miss counters (e.g. after warm-up). The counts so
+    /// far are published to the global registry first, so the `core.polb.*`
+    /// series keep them.
     fn reset_stats(&mut self);
+
+    /// Publishes the counts not yet published into `registry` as the
+    /// `core.polb.*` series. Dropping the buffer does this with the
+    /// global registry.
+    fn publish_into(&mut self, registry: &Registry);
 
     /// Number of entries the buffer can hold (0 = no POLB present).
     fn capacity(&self) -> usize;
@@ -79,37 +86,53 @@ enum FillOutcome {
     Evicted(u64),
 }
 
+/// What a [`Cam`] counts: the [`PolbStats`] the simulators read, plus
+/// fills and evictions for the `core.polb.*` series.
+#[derive(Clone, Copy, Debug, Default)]
+struct CamCounts {
+    polb: PolbStats,
+    fills: u64,
+    evictions: u64,
+}
+
 /// Shared fully-associative LRU machinery for both designs.
 ///
-/// Besides the per-instance [`PolbStats`] consumed by the simulators, every
-/// event also feeds the process-wide `core.polb.*` telemetry counters
-/// (aggregated across all live POLB instances and both designs); the
-/// handles are resolved once here so the lookup path stays lock-free.
+/// Every event is counted in the per-instance [`CamCounts`]; the
+/// process-wide `core.polb.*` series (summed over all POLB instances and
+/// both designs) receive them when the CAM drops.
 #[derive(Clone, Debug)]
 struct Cam {
     entries: Vec<Entry>,
     capacity: usize,
     tick: u64,
-    stats: PolbStats,
-    tele_hits: Counter,
-    tele_misses: Counter,
-    tele_fills: Counter,
-    tele_evictions: Counter,
+    counts: Tally<CamCounts>,
 }
 
 impl Cam {
     fn new(capacity: usize) -> Self {
-        let registry = poat_telemetry::global();
         Cam {
             entries: Vec::with_capacity(capacity),
             capacity,
             tick: 0,
-            stats: PolbStats::default(),
-            tele_hits: registry.counter("core.polb.hits"),
-            tele_misses: registry.counter("core.polb.misses"),
-            tele_fills: registry.counter("core.polb.fills"),
-            tele_evictions: registry.counter("core.polb.evictions"),
+            counts: Tally::default(),
         }
+    }
+
+    fn publish_into(&mut self, registry: &Registry) {
+        self.counts.publish(
+            registry,
+            &[
+                ("core.polb.hits", |c| c.polb.hits),
+                ("core.polb.misses", |c| c.polb.misses),
+                ("core.polb.fills", |c| c.fills),
+                ("core.polb.evictions", |c| c.evictions),
+            ],
+        );
+    }
+
+    fn reset(&mut self) {
+        self.publish_into(poat_telemetry::global());
+        self.counts = Tally::default();
     }
 
     fn lookup(&mut self, tag: u64) -> Option<u64> {
@@ -118,13 +141,11 @@ impl Cam {
         match self.entries.iter_mut().find(|e| e.tag == tag) {
             Some(e) => {
                 e.last_use = tick;
-                self.stats.hits += 1;
-                self.tele_hits.inc();
+                self.counts.polb.hits += 1;
                 Some(e.data)
             }
             None => {
-                self.stats.misses += 1;
-                self.tele_misses.inc();
+                self.counts.polb.misses += 1;
                 None
             }
         }
@@ -145,7 +166,7 @@ impl Cam {
             data,
             last_use: self.tick,
         };
-        self.tele_fills.inc();
+        self.counts.fills += 1;
         if self.entries.len() < self.capacity {
             self.entries.push(entry);
             FillOutcome::Inserted
@@ -160,7 +181,7 @@ impl Cam {
                 .expect("invariant: capacity > 0 implies entries non-empty at eviction");
             let victim_tag = self.entries[victim].tag;
             self.entries[victim] = entry;
-            self.tele_evictions.inc();
+            self.counts.evictions += 1;
             FillOutcome::Evicted(victim_tag)
         }
     }
@@ -171,6 +192,14 @@ impl Cam {
 
     fn clear(&mut self) {
         self.entries.clear();
+    }
+}
+
+impl Drop for Cam {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.publish_into(poat_telemetry::global());
+        }
     }
 }
 
@@ -258,11 +287,15 @@ impl TranslationBuffer for PipelinedPolb {
     }
 
     fn stats(&self) -> &PolbStats {
-        &self.cam.stats
+        &self.cam.counts.polb
     }
 
     fn reset_stats(&mut self) {
-        self.cam.stats = PolbStats::default();
+        self.cam.reset();
+    }
+
+    fn publish_into(&mut self, registry: &Registry) {
+        self.cam.publish_into(registry);
     }
 
     fn capacity(&self) -> usize {
@@ -325,11 +358,15 @@ impl TranslationBuffer for ParallelPolb {
     }
 
     fn stats(&self) -> &PolbStats {
-        &self.cam.stats
+        &self.cam.counts.polb
     }
 
     fn reset_stats(&mut self) {
-        self.cam.stats = PolbStats::default();
+        self.cam.reset();
+    }
+
+    fn publish_into(&mut self, registry: &Registry) {
+        self.cam.publish_into(registry);
     }
 
     fn capacity(&self) -> usize {
@@ -426,6 +463,26 @@ mod tests {
         assert!(polb.translate(ObjectId::new(pool(2), 0)).is_some());
         polb.flush();
         assert!(polb.translate(ObjectId::new(pool(2), 0)).is_none());
+    }
+
+    #[test]
+    fn clone_publishes_only_its_own_events() {
+        let registry = Registry::new();
+        let mut polb = PipelinedPolb::new(1);
+        let (a, b) = (ObjectId::new(pool(1), 0), ObjectId::new(pool(2), 0));
+        let _ = polb.translate(a);
+        polb.fill(a, 0x1000);
+        let mut clone = polb.clone();
+        let _ = polb.translate(a);
+        let _ = clone.translate(b);
+        clone.fill(b, 0x2000);
+        polb.publish_into(&registry);
+        clone.publish_into(&registry);
+        let get = |name: &str| registry.counter(name).get();
+        assert_eq!(get("core.polb.hits"), 1);
+        assert_eq!(get("core.polb.misses"), 2);
+        assert_eq!(get("core.polb.fills"), 2);
+        assert_eq!(get("core.polb.evictions"), 1);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 
 use std::fmt;
 
+use poat_telemetry::{LocalHistogram, Registry, Tally};
+
 use crate::addr::VirtAddr;
 use crate::oid::PoolId;
 
@@ -78,14 +80,15 @@ pub struct WalkResult {
 /// assert_eq!(pot.lookup(p), Some(VirtAddr::new(0x5000_0000)));
 /// assert_eq!(pot.lookup(PoolId::new(7).unwrap()), None);
 /// ```
+///
+/// Walks are counted per table, one probe-length sample each, and
+/// published as `core.pot.walks` / `core.pot.probe_len` when the table
+/// drops (or at [`publish_into`](Self::publish_into)).
 #[derive(Clone)]
 pub struct Pot {
     slots: Vec<Slot>,
     live: usize,
-    walks: u64,
-    total_probes: u64,
-    tele_walks: poat_telemetry::Counter,
-    tele_probe_len: poat_telemetry::Histogram,
+    probe_len: Tally<LocalHistogram>,
     tele_occupancy: poat_telemetry::Gauge,
 }
 
@@ -97,8 +100,7 @@ impl Pot {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "POT must have at least one entry");
-        let registry = poat_telemetry::global();
-        let tele_occupancy = registry.gauge("core.pot.occupancy");
+        let tele_occupancy = poat_telemetry::global().gauge("core.pot.occupancy");
         // A fresh table has zero live entries; without this, the gauge
         // keeps the last value published by a *previous* Pot until the
         // first insert/remove, reporting stale occupancy.
@@ -106,10 +108,7 @@ impl Pot {
         Pot {
             slots: vec![Slot::Empty; entries],
             live: 0,
-            walks: 0,
-            total_probes: 0,
-            tele_walks: registry.counter("core.pot.walks"),
-            tele_probe_len: registry.histogram("core.pot.probe_len"),
+            probe_len: Tally::default(),
             tele_occupancy,
         }
     }
@@ -167,7 +166,6 @@ impl Pot {
     /// matching entry yields the translation; an `Empty` slot means the
     /// mapping does not exist (the caller raises an exception).
     pub fn walk(&mut self, pool: PoolId) -> WalkResult {
-        self.walks += 1;
         let start = self.hash(pool);
         let n = self.slots.len();
         let mut result = WalkResult {
@@ -189,9 +187,7 @@ impl Pot {
                 _ => {}
             }
         }
-        self.total_probes += result.probes as u64;
-        self.tele_walks.inc();
-        self.tele_probe_len.record(result.probes as u64);
+        self.probe_len.record(result.probes as u64);
         // Close the PotWalkBegin the translation unit opened (no-op while
         // event tracing is disabled); the probe count rides in `arg`.
         poat_telemetry::events::emit(
@@ -253,16 +249,25 @@ impl Pot {
 
     /// Number of hardware walks performed.
     pub fn walks(&self) -> u64 {
-        self.walks
+        self.probe_len.count()
     }
 
     /// Mean probes per walk (1.0 = perfect hashing), or 0 if no walks ran.
     pub fn mean_probes(&self) -> f64 {
-        if self.walks == 0 {
-            0.0
-        } else {
-            self.total_probes as f64 / self.walks as f64
+        match self.walks() {
+            0 => 0.0,
+            walks => self.probe_len.sum() as f64 / walks as f64,
         }
+    }
+
+    /// Publishes the walks not yet published into `registry` as
+    /// `core.pot.walks` and `core.pot.probe_len`. Dropping the table does
+    /// this with the global registry.
+    pub fn publish_into(&mut self, registry: &Registry) {
+        let walks = self
+            .probe_len
+            .publish_into(&registry.histogram("core.pot.probe_len"));
+        registry.counter("core.pot.walks").add(walks.count());
     }
 
     /// The memory footprint of the table in bytes (16 B per entry: 4 B pool
@@ -278,8 +283,16 @@ impl fmt::Debug for Pot {
         f.debug_struct("Pot")
             .field("capacity", &self.slots.len())
             .field("live", &self.live)
-            .field("walks", &self.walks)
+            .field("walks", &self.walks())
             .finish()
+    }
+}
+
+impl Drop for Pot {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.publish_into(poat_telemetry::global());
+        }
     }
 }
 

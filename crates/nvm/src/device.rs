@@ -17,6 +17,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use poat_core::{PhysAddr, CACHE_LINE_BYTES, PAGE_BYTES};
+use poat_telemetry::{LocalHistogram, Registry, Tally};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,6 +47,8 @@ pub struct DeviceStats {
     pub clwbs_dropped: u64,
     /// Lines that landed partially (torn) during a crash.
     pub lines_torn: u64,
+    /// Simulated power failures.
+    pub crashes: u64,
 }
 
 /// Which kind of persist boundary a crash point sits on.
@@ -82,50 +85,15 @@ pub struct FaultPlan {
     pub record_boundaries: bool,
 }
 
-/// Process-global telemetry handles for the `nvm.device.*` series,
-/// resolved once per device so the access paths stay lock-free. Counters
-/// aggregate across all live devices; see `docs/METRICS.md`.
-#[derive(Clone, Debug)]
-struct DeviceTelemetry {
-    reads: poat_telemetry::Counter,
-    writes: poat_telemetry::Counter,
-    bytes_read: poat_telemetry::Counter,
-    bytes_written: poat_telemetry::Counter,
-    clwbs: poat_telemetry::Counter,
-    fences: poat_telemetry::Counter,
-    crashes: poat_telemetry::Counter,
-    dropped_clwbs: poat_telemetry::Counter,
-    torn_lines: poat_telemetry::Counter,
-    frames: poat_telemetry::Gauge,
-    read_bytes_hist: poat_telemetry::Histogram,
-    write_bytes_hist: poat_telemetry::Histogram,
-}
-
-impl DeviceTelemetry {
-    fn new() -> Self {
-        let r = poat_telemetry::global();
-        DeviceTelemetry {
-            reads: r.counter("nvm.device.reads"),
-            writes: r.counter("nvm.device.writes"),
-            bytes_read: r.counter("nvm.device.bytes_read"),
-            bytes_written: r.counter("nvm.device.bytes_written"),
-            clwbs: r.counter("nvm.device.clwbs"),
-            fences: r.counter("nvm.device.fences"),
-            crashes: r.counter("nvm.device.crashes"),
-            dropped_clwbs: r.counter("nvm.device.dropped_clwbs"),
-            torn_lines: r.counter("nvm.device.torn_lines"),
-            frames: r.gauge("nvm.device.frames_allocated"),
-            read_bytes_hist: r.histogram("nvm.device.read_bytes"),
-            write_bytes_hist: r.histogram("nvm.device.write_bytes"),
-        }
-    }
-}
-
 /// A simulated byte-addressable NVM device.
 ///
 /// Storage is sparse at page granularity: frames are materialized on first
-/// allocation, so a large nominal capacity (default 1 GB, Table 4) costs
-/// only what the workload touches.
+/// write, so a large nominal capacity (default 1 GB, Table 4) costs only
+/// what the workload touches.
+///
+/// The device counts its accesses in its own [`DeviceStats`] and publishes
+/// them as the `nvm.device.*` series when it drops (or at
+/// [`publish_into`](Self::publish_into)); see `docs/METRICS.md`.
 ///
 /// ```
 /// use poat_nvm::NvmDevice;
@@ -144,7 +112,8 @@ impl DeviceTelemetry {
 #[derive(Clone, Debug)]
 pub struct NvmDevice {
     capacity: u64,
-    /// Current (volatile-domain) contents, sparse by frame number.
+    /// Current (volatile-domain) contents, sparse by frame number; a frame
+    /// never written since it was allocated has no page.
     current: HashMap<u64, Page>,
     /// Durable image, sparse by frame number. Pages absent here but present
     /// in `current` were never persisted at all.
@@ -166,8 +135,12 @@ pub struct NvmDevice {
     tripped: bool,
     /// Boundary kinds, recorded when `plan.record_boundaries` is set.
     boundary_log: Vec<BoundaryKind>,
-    stats: DeviceStats,
-    telemetry: DeviceTelemetry,
+    /// `bytes_read`/`bytes_written` stay zero here: they are the sums of
+    /// `read_bytes`/`write_bytes`, one sample per read or write.
+    stats: Tally<DeviceStats>,
+    read_bytes: Tally<LocalHistogram>,
+    write_bytes: Tally<LocalHistogram>,
+    frames_gauge: poat_telemetry::Gauge,
 }
 
 impl NvmDevice {
@@ -188,8 +161,10 @@ impl NvmDevice {
             clwb_seq: 0,
             tripped: false,
             boundary_log: Vec::new(),
-            stats: DeviceStats::default(),
-            telemetry: DeviceTelemetry::new(),
+            stats: Tally::default(),
+            read_bytes: Tally::default(),
+            write_bytes: Tally::default(),
+            frames_gauge: poat_telemetry::global().gauge("nvm.device.frames_allocated"),
         }
     }
 
@@ -254,7 +229,7 @@ impl NvmDevice {
             return None;
         };
         self.stats.frames_allocated += 1;
-        self.telemetry.frames.set(self.stats.frames_allocated);
+        self.frames_gauge.set(self.stats.frames_allocated);
         Some(PhysAddr::new(frame * PAGE_BYTES))
     }
 
@@ -275,16 +250,8 @@ impl NvmDevice {
             self.pending_lines.remove(&l);
         }
         self.stats.frames_allocated = self.stats.frames_allocated.saturating_sub(1);
-        self.telemetry.frames.set(self.stats.frames_allocated);
+        self.frames_gauge.set(self.stats.frames_allocated);
         self.free_frames.push(n);
-    }
-
-    fn page_for_read(&self, page: u64) -> Option<&Page> {
-        self.current.get(&page)
-    }
-
-    fn page_for_write(&mut self, page: u64) -> &mut Page {
-        self.current.entry(page).or_insert_with(zero_page)
     }
 
     /// Reads `buf.len()` bytes starting at `pa`.
@@ -299,17 +266,14 @@ impl NvmDevice {
             pa.raw() + buf.len() as u64 <= self.capacity,
             "read past end of device"
         );
-        self.stats.bytes_read += buf.len() as u64;
-        self.telemetry.reads.inc();
-        self.telemetry.bytes_read.add(buf.len() as u64);
-        self.telemetry.read_bytes_hist.record(buf.len() as u64);
+        self.read_bytes.record(buf.len() as u64);
         let mut addr = pa.raw();
         let mut filled = 0;
         while filled < buf.len() {
             let page = addr / PAGE_BYTES;
             let off = (addr % PAGE_BYTES) as usize;
             let n = (PAGE - off).min(buf.len() - filled);
-            match self.page_for_read(page) {
+            match self.current.get(&page) {
                 Some(p) => buf[filled..filled + n].copy_from_slice(&p[off..off + n]),
                 None => buf[filled..filled + n].fill(0),
             }
@@ -328,11 +292,8 @@ impl NvmDevice {
     pub fn read_page(&mut self, pa: PhysAddr) -> Option<&[u8]> {
         assert_eq!(pa.page_offset(), 0, "page read must be page-aligned");
         assert!(pa.raw() < self.capacity, "read past end of device");
-        self.stats.bytes_read += PAGE_BYTES;
-        self.telemetry.reads.inc();
-        self.telemetry.bytes_read.add(PAGE_BYTES);
-        self.telemetry.read_bytes_hist.record(PAGE_BYTES);
-        self.page_for_read(pa.page_number()).map(|p| &p[..])
+        self.read_bytes.record(PAGE_BYTES);
+        self.current.get(&pa.page_number()).map(|p| &p[..])
     }
 
     /// Writes `data` starting at `pa`, dirtying the covered cache lines.
@@ -345,17 +306,15 @@ impl NvmDevice {
             pa.raw() + data.len() as u64 <= self.capacity,
             "write past end of device"
         );
-        self.stats.bytes_written += data.len() as u64;
-        self.telemetry.writes.inc();
-        self.telemetry.bytes_written.add(data.len() as u64);
-        self.telemetry.write_bytes_hist.record(data.len() as u64);
+        self.write_bytes.record(data.len() as u64);
         let mut addr = pa.raw();
         let mut written = 0;
         while written < data.len() {
             let page = addr / PAGE_BYTES;
             let off = (addr % PAGE_BYTES) as usize;
             let n = (PAGE - off).min(data.len() - written);
-            self.page_for_write(page)[off..off + n].copy_from_slice(&data[written..written + n]);
+            self.current.entry(page).or_insert_with(zero_page)[off..off + n]
+                .copy_from_slice(&data[written..written + n]);
             written += n;
             addr += n as u64;
         }
@@ -388,13 +347,11 @@ impl NvmDevice {
     /// the next [`fence`](Self::fence).
     pub fn clwb(&mut self, pa: PhysAddr) {
         self.stats.clwbs += 1;
-        self.telemetry.clwbs.inc();
         self.clwb_seq += 1;
         if self.plan.drop_clwb == Some(self.clwb_seq) {
             // Injected fault: the write-back never happens; the line stays
             // dirty and is only eviction-persisted (maybe) at crash time.
             self.stats.clwbs_dropped += 1;
-            self.telemetry.dropped_clwbs.inc();
         } else {
             let line = pa.raw() / CACHE_LINE_BYTES;
             let mut snap = [0u8; LINE];
@@ -409,28 +366,30 @@ impl NvmDevice {
         let addr = line * CACHE_LINE_BYTES;
         let page = addr / PAGE_BYTES;
         let off = (addr % PAGE_BYTES) as usize;
-        match self.page_for_read(page) {
+        match self.current.get(&page) {
             Some(p) => buf.copy_from_slice(&p[off..off + LINE]),
             None => buf.fill(0),
         }
     }
 
-    fn write_durable_line(&mut self, line: u64, data: &[u8; LINE]) {
-        let addr = line * CACHE_LINE_BYTES;
-        let page = addr / PAGE_BYTES;
+    /// Writes `bytes`, which lie within one page, at `addr` of the durable
+    /// image.
+    fn write_durable(&mut self, addr: u64, bytes: &[u8]) {
         let off = (addr % PAGE_BYTES) as usize;
-        let p = self.durable.entry(page).or_insert_with(zero_page);
-        p[off..off + LINE].copy_from_slice(data);
+        let page = self
+            .durable
+            .entry(addr / PAGE_BYTES)
+            .or_insert_with(zero_page);
+        page[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Orders all pending write-backs (SFENCE): every line `clwb`ed since
     /// the previous fence is now durable.
     pub fn fence(&mut self) {
         self.stats.fences += 1;
-        self.telemetry.fences.inc();
         let pending = std::mem::take(&mut self.pending_lines);
         for (line, data) in pending {
-            self.write_durable_line(line, &data);
+            self.write_durable(line * CACHE_LINE_BYTES, &data);
         }
         self.boundary(BoundaryKind::Fence);
     }
@@ -461,7 +420,7 @@ impl NvmDevice {
     /// (cache eviction or in-flight write-back), decided by `seed`. After
     /// this call the device contents equal the post-recovery media state.
     pub fn crash(&mut self, seed: u64) {
-        self.telemetry.crashes.inc();
+        self.stats.crashes += 1;
         let torn = self.plan.torn_lines;
         let mut rng = StdRng::seed_from_u64(seed);
         // Unfenced clwb'ed lines: in-flight; may or may not complete. The
@@ -497,7 +456,7 @@ impl NvmDevice {
     fn crash_line(&mut self, rng: &mut StdRng, line: u64, data: &[u8; LINE], torn: bool) {
         if !torn {
             if rng.gen_bool(0.5) {
-                self.write_durable_line(line, data);
+                self.write_durable(line * CACHE_LINE_BYTES, data);
             }
             return;
         }
@@ -505,32 +464,64 @@ impl NvmDevice {
         let mut landed = 0;
         for w in 0..words {
             if rng.gen_bool(0.5) {
-                self.write_durable_word(line, w, &data[w * 8..w * 8 + 8]);
+                let addr = line * CACHE_LINE_BYTES + w as u64 * 8;
+                self.write_durable(addr, &data[w * 8..w * 8 + 8]);
                 landed += 1;
             }
         }
         if landed != 0 && landed != words {
             self.stats.lines_torn += 1;
-            self.telemetry.torn_lines.inc();
         }
-    }
-
-    fn write_durable_word(&mut self, line: u64, word: usize, bytes: &[u8]) {
-        let addr = line * CACHE_LINE_BYTES + word as u64 * 8;
-        let page = addr / PAGE_BYTES;
-        let off = (addr % PAGE_BYTES) as usize;
-        let p = self.durable.entry(page).or_insert_with(zero_page);
-        p[off..off + 8].copy_from_slice(bytes);
     }
 
     /// Operation counters.
     pub fn stats(&self) -> DeviceStats {
-        self.stats
+        DeviceStats {
+            bytes_read: self.read_bytes.sum(),
+            bytes_written: self.write_bytes.sum(),
+            ..*self.stats
+        }
+    }
+
+    /// Publishes the counts this device has not yet published into
+    /// `registry` as the `nvm.device.*` series. Dropping the device does
+    /// this with the global registry.
+    pub fn publish_into(&mut self, registry: &Registry) {
+        self.stats.publish(
+            registry,
+            &[
+                ("nvm.device.clwbs", |s| s.clwbs),
+                ("nvm.device.fences", |s| s.fences),
+                ("nvm.device.crashes", |s| s.crashes),
+                ("nvm.device.dropped_clwbs", |s| s.clwbs_dropped),
+                ("nvm.device.torn_lines", |s| s.lines_torn),
+            ],
+        );
+        let reads = self
+            .read_bytes
+            .publish_into(&registry.histogram("nvm.device.read_bytes"));
+        registry.counter("nvm.device.reads").add(reads.count());
+        registry.counter("nvm.device.bytes_read").add(reads.sum());
+        let writes = self
+            .write_bytes
+            .publish_into(&registry.histogram("nvm.device.write_bytes"));
+        registry.counter("nvm.device.writes").add(writes.count());
+        registry
+            .counter("nvm.device.bytes_written")
+            .add(writes.sum());
     }
 
     /// Number of lines with unpersisted data (diagnostics).
     pub fn volatile_lines(&self) -> usize {
         self.dirty_lines.len() + self.pending_lines.len()
+    }
+}
+
+impl Drop for NvmDevice {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.publish_into(poat_telemetry::global());
+        }
     }
 }
 
@@ -676,6 +667,18 @@ mod tests {
         let b2 = dev.alloc_frame().unwrap();
         assert_eq!(b2, b, "free list reuse");
         assert_eq!(dev.read_u64(b2), 0, "reallocated frame is zeroed");
+        // An old incarnation made durable does not come back either: not
+        // as dirty lines, and not from the durable image after a crash.
+        dev.write_u64(b2.offset(64), 7);
+        dev.persist_range(b2, PAGE_BYTES);
+        dev.free_frame(b2);
+        let b3 = dev.alloc_frame().unwrap();
+        assert_eq!(b3, b);
+        assert!(dev.is_line_clean(b3) && dev.is_line_clean(b3.offset(64)));
+        assert_eq!(dev.volatile_lines(), 0);
+        dev.crash(0);
+        assert_eq!(dev.read_u64(b3.offset(64)), 0, "durable image freed too");
+        assert_eq!(dev.read_page(b3), None, "never written since realloc");
     }
 
     #[test]

@@ -273,6 +273,12 @@ impl NvMemory {
         self.device.stats()
     }
 
+    /// Publishes the device's unpublished counts into `registry`
+    /// ([`NvmDevice::publish_into`]).
+    pub fn publish_into(&mut self, registry: &poat_telemetry::Registry) {
+        self.device.publish_into(registry);
+    }
+
     /// Arms a device [`FaultPlan`] (crash-sweep campaigns); boundary
     /// counters restart from zero.
     pub fn arm_faults(&mut self, plan: FaultPlan) {

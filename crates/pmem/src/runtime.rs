@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use poat_core::{ObjectId, PoolId, Pot, VirtAddr, CACHE_LINE_BYTES, PAGE_BYTES};
-use poat_nvm::{BoundaryKind, FaultPlan, NvMemory, PageTable};
+use poat_nvm::{BoundaryKind, DeviceStats, FaultPlan, NvMemory, PageTable};
 
 use crate::costs;
 use crate::error::PmemError;
@@ -866,6 +866,20 @@ impl Runtime {
     /// Software-translation counters (drives Table 2).
     pub fn xlat_stats(&self) -> XlatStats {
         self.xlat.stats()
+    }
+
+    /// NVM device counters.
+    pub fn device_stats(&self) -> DeviceStats {
+        self.mem.device_stats()
+    }
+
+    /// Publishes the device, `oid_direct` and POT counts this runtime has
+    /// not yet published into `registry`. Dropping the runtime does this
+    /// with the global registry.
+    pub fn publish_into(&mut self, registry: &poat_telemetry::Registry) {
+        self.mem.publish_into(registry);
+        self.xlat.publish_into(registry);
+        self.pot.publish_into(registry);
     }
 
     /// The configuration this runtime was built with.

@@ -12,6 +12,7 @@
 
 use poat_core::{ObjectId, PoolId, VirtAddr};
 use poat_telemetry::events::{self, EventKind, TraceDesign};
+use poat_telemetry::{LocalHistogram, Registry, Tally};
 
 use crate::costs;
 use crate::error::PmemError;
@@ -72,38 +73,20 @@ impl XlatStats {
     }
 }
 
-/// Process-global telemetry for the `pmem.oid_direct.*` series, resolved
-/// once per translator; see `docs/METRICS.md`.
-#[derive(Clone, Debug)]
-struct XlatTelemetry {
-    calls: poat_telemetry::Counter,
-    predictor_hits: poat_telemetry::Counter,
-    predictor_misses: poat_telemetry::Counter,
-    instructions: poat_telemetry::Counter,
-    probe_len: poat_telemetry::Histogram,
-}
-
-impl XlatTelemetry {
-    fn new() -> Self {
-        let r = poat_telemetry::global();
-        XlatTelemetry {
-            calls: r.counter("pmem.oid_direct.calls"),
-            predictor_hits: r.counter("pmem.oid_direct.predictor_hits"),
-            predictor_misses: r.counter("pmem.oid_direct.predictor_misses"),
-            instructions: r.counter("pmem.oid_direct.instructions"),
-            probe_len: r.histogram("pmem.oid_direct.probe_len"),
-        }
-    }
-}
-
 /// The software translation state: predictor globals + open-addressed map.
+///
+/// The translator counts its calls in its own [`XlatStats`] and publishes
+/// them as the `pmem.oid_direct.*` series when it drops (or at
+/// [`publish_into`](Self::publish_into)); see `docs/METRICS.md`.
 #[derive(Clone, Debug)]
 pub struct SoftTranslator {
     slots: Vec<Option<(PoolId, VirtAddr)>>,
     predictor: Option<(PoolId, VirtAddr)>,
     predictor_enabled: bool,
-    stats: XlatStats,
-    telemetry: XlatTelemetry,
+    /// `predictor_misses`/`probes` stay zero here: they are the count and
+    /// sum of `probe_len`, one sample per predictor miss.
+    stats: Tally<XlatStats>,
+    probe_len: Tally<LocalHistogram>,
 }
 
 impl SoftTranslator {
@@ -129,8 +112,8 @@ impl SoftTranslator {
             slots: vec![None; slots],
             predictor: None,
             predictor_enabled,
-            stats: XlatStats::default(),
-            telemetry: XlatTelemetry::new(),
+            stats: Tally::default(),
+            probe_len: Tally::default(),
         }
     }
 
@@ -221,7 +204,6 @@ impl SoftTranslator {
     ) -> Option<(VirtAddr, OpId)> {
         let pool = oid.pool()?;
         self.stats.calls += 1;
-        self.telemetry.calls.inc();
         // Software translation runs at trace-generation time, before any
         // cycle model exists; the trace position stands in for both clocks.
         let at = trace.len() as u64;
@@ -258,14 +240,10 @@ impl SoftTranslator {
                 insns += costs::HIT_POST_EXEC as u64;
                 self.stats.predictor_hits += 1;
                 self.stats.instructions += insns;
-                self.telemetry.predictor_hits.inc();
-                self.telemetry.instructions.add(insns);
                 events::emit(EventKind::SoftPredictorHit, pool.raw(), 0);
                 return Some((base.offset(oid.offset() as u64), g1));
             }
         }
-        self.stats.predictor_misses += 1;
-        self.telemetry.predictor_misses.inc();
 
         // Full look-up: hash, probe chain, predictor update.
         trace.push(TraceOp::Exec {
@@ -277,7 +255,7 @@ impl SoftTranslator {
         let n = self.slots.len();
         let mut found = None;
         let mut last_probe_op = g1;
-        let probes_before = self.stats.probes;
+        let mut probes = 0;
         for i in 0..n {
             let idx = (start + i) % n;
             let entry_va = costs::XLAT_TABLE_VA.offset(idx as u64 * costs::XLAT_ENTRY_BYTES);
@@ -290,7 +268,7 @@ impl SoftTranslator {
                 n: costs::PROBE_EXEC,
             });
             insns += costs::PROBE_LOADS as u64 + costs::PROBE_EXEC as u64;
-            self.stats.probes += 1;
+            probes += 1;
             match self.slots[idx] {
                 None => break,
                 Some((p, base)) if p == pool => {
@@ -301,15 +279,13 @@ impl SoftTranslator {
             }
         }
 
-        let probes = self.stats.probes - probes_before;
-        self.telemetry.probe_len.record(probes);
+        self.probe_len.record(probes);
         events::emit(EventKind::SoftPredictorMiss, pool.raw(), probes as u32);
 
         let base = match found {
             Some(b) => b,
             None => {
                 self.stats.instructions += insns;
-                self.telemetry.instructions.add(insns);
                 events::emit(EventKind::Fault, pool.raw(), probes as u32);
                 return None;
             }
@@ -337,18 +313,49 @@ impl SoftTranslator {
             self.predictor = Some((pool, base));
         }
         self.stats.instructions += insns;
-        self.telemetry.instructions.add(insns);
         Some((base.offset(oid.offset() as u64), last_probe_op))
     }
 
     /// Translation statistics.
     pub fn stats(&self) -> XlatStats {
-        self.stats
+        XlatStats {
+            predictor_misses: self.probe_len.count(),
+            probes: self.probe_len.sum(),
+            ..*self.stats
+        }
+    }
+
+    /// Publishes the counts this translator has not yet published into
+    /// `registry` as the `pmem.oid_direct.*` series. Dropping the
+    /// translator does this with the global registry.
+    pub fn publish_into(&mut self, registry: &Registry) {
+        self.stats.publish(
+            registry,
+            &[
+                ("pmem.oid_direct.calls", |s| s.calls),
+                ("pmem.oid_direct.predictor_hits", |s| s.predictor_hits),
+                ("pmem.oid_direct.instructions", |s| s.instructions),
+            ],
+        );
+        let misses = self
+            .probe_len
+            .publish_into(&registry.histogram("pmem.oid_direct.probe_len"));
+        registry
+            .counter("pmem.oid_direct.predictor_misses")
+            .add(misses.count());
     }
 
     /// Clears the predictor (process restart).
     pub fn reset_predictor(&mut self) {
         self.predictor = None;
+    }
+}
+
+impl Drop for SoftTranslator {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.publish_into(poat_telemetry::global());
+        }
     }
 }
 

@@ -15,10 +15,12 @@
 //! * [`Histogram`] — log2-bucketed distribution of `u64` samples
 //!   (POT probe lengths, span latencies).
 //!
-//! The hot path is lock-free: handles returned by the registry are
-//! `Arc`-shared atomics, so a POLB lookup inside the simulator inner loop
-//! costs one relaxed `fetch_add`. The registry mutex is touched only at
-//! registration and snapshot time.
+//! The per-op paths (NVM device, `oid_direct`, POLB, POT) count locally,
+//! in a plain [`Tally`] of their own stats and [`LocalHistogram`]s, and
+//! publish once, on `Drop` or at a flush point: a POLB lookup in the
+//! simulator inner loop costs a plain add. Registry handles are
+//! `Arc`-shared atomics; the registry mutex is touched only at
+//! registration, publish and snapshot time.
 //!
 //! Phase timing uses span guards: [`Registry::span`] starts a wall-clock
 //! timer whose `Drop` records nanoseconds into `span.<phase>.nanos` and
@@ -47,6 +49,7 @@ pub mod timeline;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -209,6 +212,141 @@ impl Histogram {
             p99: percentile_from(&buckets, count, max, 0.99),
             buckets,
         }
+    }
+}
+
+/// Log2 buckets like [`Histogram`]'s, recorded with plain adds by one
+/// owner and published with [`merge_into`](Self::merge_into).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LocalHistogram {
+    buckets: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all recorded samples (wrapping, like [`Histogram::sum`]).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// The samples recorded since `earlier`, an older copy of this one.
+    /// The max stays the running max, which merges idempotently.
+    fn since(&self, earlier: &LocalHistogram) -> LocalHistogram {
+        LocalHistogram {
+            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
+            count: self.count - earlier.count,
+            sum: self.sum.wrapping_sub(earlier.sum),
+            max: self.max,
+        }
+    }
+
+    /// Adds the buckets, count and sum into `h` and raises its max.
+    pub fn merge_into(&self, h: &Histogram) {
+        if self.count == 0 {
+            return;
+        }
+        for (cell, &n) in h.0.buckets.iter().zip(&self.buckets) {
+            if n != 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        h.0.count.fetch_add(self.count, Ordering::Relaxed);
+        h.0.sum.fetch_add(self.sum, Ordering::Relaxed);
+        h.0.max.fetch_max(self.max, Ordering::Relaxed);
+    }
+}
+
+/// Counts one owner keeps with plain adds, and the watermark of what it
+/// has published; derefs to the counts. The owner publishes the difference
+/// with [`publish`](Self::publish), on `Drop` or at a flush point. A clone
+/// starts with its watermark at the counts it inherited, so it never
+/// publishes its parent's counts a second time. Owners skip the `Drop`
+/// publish while the thread unwinds: a poisoned registry lock would
+/// panic there, and a panic in `Drop` during unwinding aborts.
+#[derive(Debug, Default)]
+pub struct Tally<S> {
+    counts: S,
+    published: S,
+}
+
+/// A counter a [`Tally`] publishes: its name and the field of the counts
+/// it sums.
+pub type Series<S> = (&'static str, fn(&S) -> u64);
+
+impl<S: Copy> Clone for Tally<S> {
+    fn clone(&self) -> Self {
+        Tally {
+            counts: self.counts,
+            published: self.counts,
+        }
+    }
+}
+
+impl<S: Copy> Tally<S> {
+    /// Moves the watermark up to the counts; returns `(now, before)`.
+    fn advance(&mut self) -> (S, S) {
+        let before = std::mem::replace(&mut self.published, self.counts);
+        (self.counts, before)
+    }
+
+    /// Adds the unpublished part of each `(counter, field)` of the counts
+    /// to that counter of `registry`, then advances the watermark.
+    pub fn publish(&mut self, registry: &Registry, series: &[Series<S>]) {
+        let (now, before) = self.advance();
+        for (name, field) in series {
+            registry.counter(name).add(field(&now) - field(&before));
+        }
+    }
+}
+
+impl Tally<LocalHistogram> {
+    /// Merges the samples recorded since the watermark into `h`, advances
+    /// the watermark, and returns those samples.
+    pub fn publish_into(&mut self, h: &Histogram) -> LocalHistogram {
+        let (now, before) = self.advance();
+        let unpublished = now.since(&before);
+        unpublished.merge_into(h);
+        unpublished
+    }
+}
+
+impl<S> Deref for Tally<S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.counts
+    }
+}
+
+impl<S> DerefMut for Tally<S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.counts
     }
 }
 
@@ -702,6 +840,52 @@ mod tests {
         assert!(snap.p50 <= snap.p90 && snap.p90 <= snap.p99, "monotone");
         assert_eq!(snap.percentile(0.5), snap.p50);
         assert!(snap.percentile(1.0) <= 100);
+    }
+
+    #[test]
+    fn merged_local_histograms_match_direct_recording() {
+        let samples = [0, 1, 2, 3, 7, 64, 700, 4096, 1 << 40, u64::MAX, 0, 5];
+        let r = Registry::new();
+        let direct = r.histogram("t.direct");
+        let merged = r.histogram("t.merged");
+        let (mut a, mut b) = (LocalHistogram::default(), LocalHistogram::default());
+        for (i, &v) in samples.iter().enumerate() {
+            direct.record(v);
+            if i % 2 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
+        }
+        a.merge_into(&merged);
+        b.merge_into(&merged);
+        let (d, m) = (direct.snapshot(), merged.snapshot());
+        let key = |s: &HistogramSnapshot| {
+            let buckets: Vec<_> = s.buckets.iter().map(|b| (b.lower_bound, b.count)).collect();
+            (buckets, s.count, s.sum, s.max, s.p50, s.p90, s.p99)
+        };
+        assert_eq!(key(&d), key(&m));
+        assert_eq!(m.count, samples.len() as u64);
+        assert_eq!(m.max, u64::MAX);
+    }
+
+    #[test]
+    fn tally_clone_starts_at_the_inherited_counts() {
+        let mut t: Tally<LocalHistogram> = Tally::default();
+        t.record(3);
+        let mut c = t.clone();
+        c.record(5);
+        let (now, before) = c.advance();
+        let own = now.since(&before);
+        assert_eq!(
+            (own.count(), own.sum()),
+            (1, 5),
+            "clone: only its own sample"
+        );
+        let (now, before) = t.advance();
+        assert_eq!(now.since(&before).count(), 1, "original: the inherited one");
+        let (now, before) = t.advance();
+        assert_eq!(now.since(&before).count(), 0, "published once");
     }
 
     #[test]

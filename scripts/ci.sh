@@ -62,6 +62,16 @@ echo "==> repro trace-roundtrip smoke (offline)"
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
   trace-roundtrip --scale quick --dir "$trace_dir"
 
+echo "==> repro all per-op totals golden (offline)"
+# The quick run's per-op totals (NVM device, oid_direct, POLB and POT
+# counters, plus count and sum of their histograms) are deterministic.
+# Each layer counts locally and publishes once when it drops, so an
+# exact match against the committed golden file checks that every
+# count reaches the registry exactly once (docs/METRICS.md).
+cargo run --release -p poat-harness --bin repro --locked --offline -- \
+  all --quick --no-ledger --metrics "$trace_dir/all.json" >/dev/null
+python3 scripts/op_totals.py "$trace_dir/all.json" scripts/golden/op_totals_quick.tsv
+
 echo "==> repro crash-sweep smoke (offline)"
 # Quick-scale crash campaign over every enumerated point (a few seconds
 # on two cores), with the drop-clwb negative control alongside clean and
