@@ -821,14 +821,12 @@ fn has_missing_docs_lint(f: &SourceFile) -> bool {
 
 /// The files whose writes land on (simulated) persistent media and are
 /// therefore subject to the persist-ordering discipline: the pmem
-/// runtime/undo-log/pool layers, the ledger's pmem medium, and the
-/// serve-mode run-catalog store (POATCAT1) built on the same log.
-const PERSIST_SCOPE: [&str; 5] = [
+/// runtime/undo-log/pool layers and the ledger's pmem medium.
+const PERSIST_SCOPE: [&str; 4] = [
     "crates/pmem/src/runtime.rs",
     "crates/pmem/src/log.rs",
     "crates/pmem/src/pool.rs",
     "crates/ledger/src/medium.rs",
-    "crates/catalog/src/store.rs",
 ];
 
 /// Callees that flush-and-fence: after one of these, previously issued

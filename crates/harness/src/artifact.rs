@@ -14,8 +14,6 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::notify;
-
 /// `results_full.json` + `run000007` → `results_full-run000007.json`:
 /// the per-run artifact name that stops successive runs clobbering each
 /// other (the plain name stays as the "latest" copy for scripts).
@@ -59,29 +57,29 @@ pub fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 }
 
 /// Writes an output artifact under its run-id name (when the run was
-/// ledgered) plus the plain "latest" name scripts rely on. The
-/// versioned write must succeed (panic otherwise); a failure refreshing
-/// the latest copy degrades to a warning, because the versioned copy is
-/// already durable.
+/// ledgered) plus the plain "latest" name scripts rely on, and returns
+/// the status line naming what was written (the caller decides where it
+/// goes; harness stdout stays machine-parseable). The versioned write
+/// must succeed (panic otherwise); a failure refreshing the latest copy
+/// degrades to a warning in the status line, because the versioned copy
+/// is already durable.
 ///
 /// # Panics
 ///
 /// When the primary (versioned, or plain if unledgered) write fails.
-pub fn write_artifact(what: &str, path: &str, run_id: Option<&str>, contents: &str) {
+pub fn write_artifact(what: &str, path: &str, run_id: Option<&str>, contents: &str) -> String {
     if let Some(id) = run_id {
         let versioned = with_run_id(path, id);
         write_atomic(&versioned, contents).unwrap_or_else(|e| panic!("writing {versioned}: {e}"));
         match write_atomic(path, contents) {
-            Ok(()) => notify::emit(&format!(
-                "{what} written to {versioned} (latest copy: {path})"
-            )),
-            Err(e) => notify::emit(&format!(
+            Ok(()) => format!("{what} written to {versioned} (latest copy: {path})"),
+            Err(e) => format!(
                 "{what} written to {versioned}; warning: refreshing latest copy {path} failed: {e}"
-            )),
+            ),
         }
     } else {
         write_atomic(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        notify::emit(&format!("{what} written to {path}"));
+        format!("{what} written to {path}")
     }
 }
 
@@ -161,7 +159,11 @@ mod tests {
         // versioned write already happened, so this must not panic.
         let latest = dir.join("results.json");
         std::fs::create_dir_all(&latest).unwrap();
-        write_artifact("results", latest.to_str().unwrap(), Some("run000009"), "{}");
+        let status = write_artifact("results", latest.to_str().unwrap(), Some("run000009"), "{}");
+        assert!(
+            status.contains("warning: refreshing latest copy"),
+            "{status}"
+        );
         let versioned = dir.join("results-run000009.json");
         assert_eq!(std::fs::read_to_string(&versioned).unwrap(), "{}");
         std::fs::remove_dir_all(&dir).unwrap();

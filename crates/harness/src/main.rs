@@ -30,7 +30,7 @@ use poat_harness::experiments::{
 };
 use poat_harness::report::TextTable;
 use poat_harness::Scale;
-use poat_harness::{ablations, csv, jobs, serve, timeline};
+use poat_harness::{ablations, csv, timeline};
 use poat_telemetry::events;
 
 const USAGE: &str = "usage: repro <table2|fig9a|fig9b|table8|instrs|fig10|fig11|table9|fig12|ablations|seeds|all> \
@@ -40,18 +40,26 @@ repro report [--ledger PATH] [--last N] [--metric NAME] [--command FILTER] [--di
 repro crash-sweep [--scale quick|full] [--workload BENCH:PATTERN] [--inject clean|torn|drop-clwb|all] \
 [--max-points N] [--replay POINT:SEED] [--metrics PATH] [--trace PATH] [--trace-sample N] \
 [--ledger PATH] [--no-ledger]\n       \
-repro trace-roundtrip [--scale quick|full] [--workload BENCH:PATTERN] [--dir DIR]\n       \
-repro serve [--spool DIR] [--catalog PATH] [--poll-ms N] [--drain] [--idle-exit SECS] [--workers N]\n       \
-repro submit WORKLOAD DESIGN SCALE [--spool DIR]\n       \
-repro jobs [--spool DIR] [--catalog PATH]\n       \
-repro catalog query [--catalog PATH] [--workload W] [--design D] [--scale S] [--status S] [--metric NAME]";
+repro trace-roundtrip [--scale quick|full] [--workload BENCH:PATTERN] [--dir DIR]";
+
+/// The artifact commands; `all` runs every other one.
+const ARTIFACTS: [&str; 12] = [
+    "table2",
+    "fig9a",
+    "fig9b",
+    "table8",
+    "instrs",
+    "fig10",
+    "fig11",
+    "table9",
+    "fig12",
+    "ablations",
+    "seeds",
+    "all",
+];
 
 /// Where runs land unless `--ledger`/`--no-ledger` says otherwise.
 const DEFAULT_LEDGER: &str = ".poat/ledger.poatlgr";
-/// Where `repro serve`/`submit`/`jobs` spool job specs by default.
-const DEFAULT_SPOOL: &str = ".poat/spool";
-/// Where the serve-mode run catalog lives by default.
-const DEFAULT_CATALOG: &str = ".poat/catalog.poatcat";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -104,21 +112,6 @@ fn help() -> ! {
          --workload BENCH:PATTERN check one workload only (default: a spread)\n  \
          --dir DIR                where to write the .poattrc files\n                           \
          (default: a temp directory, removed afterwards)\n\n\
-         serve mode (docs/OBSERVABILITY.md):\n  \
-         serve    watch the spool, execute submitted jobs on the worker\n           \
-         pool, and record every lifecycle event in the durable\n           \
-         run catalog (POATCAT1; survives restarts and crashes)\n  \
-         submit   enqueue one run: WORKLOAD (BENCH:PATTERN, e.g. LL:ALL),\n           \
-         DESIGN (pipelined|parallel|ideal), SCALE (quick|full)\n  \
-         jobs     spool depth + every catalog job + a summary line\n  \
-         catalog query  filter historical jobs; --metric NAME projects\n           \
-         one sim.result.* value per job\n  \
-         --spool DIR              job spool (default: .poat/spool)\n  \
-         --catalog PATH           catalog file (default: .poat/catalog.poatcat)\n  \
-         --poll-ms N              idle poll interval (default: 200)\n  \
-         --drain                  exit once the spool is empty\n  \
-         --idle-exit SECS         exit after SECS without new work\n  \
-         --workload/--design/--scale/--status  query filters (exact match)\n\n\
          options:\n  \
          --quick            ~10x smaller workloads (smoke-test scale)\n  \
          --workers N        worker-pool width for the experiment matrix and\n                     \
@@ -300,14 +293,17 @@ fn report_main(mut args: impl Iterator<Item = String>) -> ! {
         }
     }
 
-    let ledger = poat_ledger::open_file(std::path::Path::new(&ledger_path)).unwrap_or_else(|e| {
-        eprintln!("error: opening ledger {ledger_path}: {e}");
-        std::process::exit(1);
-    });
+    // A reader: never create, format or repair the ledger (a torn tail
+    // may be another run's in-flight append).
+    let ledger = poat_ledger::open_file_read_only(std::path::Path::new(&ledger_path))
+        .unwrap_or_else(|e| {
+            eprintln!("error: opening ledger {ledger_path}: {e}");
+            std::process::exit(1);
+        });
     let scan = ledger.scan_report();
     if scan.torn_tail_bytes > 0 {
         eprintln!(
-            "warning: truncated a torn tail of {} bytes ({})",
+            "warning: ignoring a torn tail of {} bytes, left in place ({})",
             scan.torn_tail_bytes,
             scan.torn_reason.as_deref().unwrap_or("unknown"),
         );
@@ -651,12 +647,13 @@ fn crash_sweep_main(mut args: impl Iterator<Item = String>) -> ! {
             .as_deref()
             .and_then(|path| append_to_ledger(path, &snapshot));
         if let Some(path) = &metrics_path {
-            write_artifact(
+            let status = write_artifact(
                 "metrics snapshot",
                 path,
                 run_id.as_deref(),
                 &snapshot.to_json_string(),
             );
+            eprintln!("{status}");
         }
     }
     eprintln!(
@@ -800,180 +797,7 @@ fn trace_roundtrip_main(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(i32::from(failures > 0));
 }
 
-/// The `repro serve` entry point: runs the serve loop until the
-/// configured exit condition (docs/OBSERVABILITY.md, serve mode).
-fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut opts = serve::ServeOptions {
-        spool: std::path::PathBuf::from(DEFAULT_SPOOL),
-        catalog: std::path::PathBuf::from(DEFAULT_CATALOG),
-        ..serve::ServeOptions::default()
-    };
-    let bad = |flag: &str, v: &str| -> ! {
-        eprintln!("error: bad value `{v}` for {flag}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => opts.spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            "--catalog" => {
-                opts.catalog = std::path::PathBuf::from(value_of("--catalog", &mut args));
-            }
-            "--poll-ms" => {
-                let v = value_of("--poll-ms", &mut args);
-                opts.poll_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| bad("--poll-ms", &v));
-            }
-            "--drain" => opts.drain = true,
-            "--idle-exit" => {
-                let v = value_of("--idle-exit", &mut args);
-                opts.idle_exit_secs = Some(v.parse().unwrap_or_else(|_| bad("--idle-exit", &v)));
-            }
-            "--workers" => {
-                let v = value_of("--workers", &mut args);
-                let n: usize = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                    eprintln!("error: --workers expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-                poat_harness::runner::set_worker_override(Some(n));
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match serve::serve(&opts) {
-        Ok(summary) => {
-            eprintln!(
-                "serve: {} claimed, {} completed, {} failed",
-                summary.claimed, summary.completed, summary.failed
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The `repro submit` entry point: validates one job spec and drops it
-/// into the spool atomically.
-fn submit_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut spool = std::path::PathBuf::from(DEFAULT_SPOOL);
-    let mut positional: Vec<String> = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [workload, design, scale] = positional.as_slice() else {
-        eprintln!(
-            "error: submit expects WORKLOAD DESIGN SCALE (got {} operand(s))\n{USAGE}",
-            positional.len()
-        );
-        std::process::exit(2);
-    };
-    let spec = serve::validate_spec(workload, design, scale).unwrap_or_else(|e| {
-        eprintln!("error: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    match serve::submit(&spool, &spec) {
-        Ok(path) => {
-            println!("submitted {} -> {}", spec.display(), path.display());
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: submitting to {}: {e}", spool.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The `repro jobs` entry point: spool depth + catalog job table.
-fn jobs_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut spool = std::path::PathBuf::from(DEFAULT_SPOOL);
-    let mut catalog = std::path::PathBuf::from(DEFAULT_CATALOG);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--spool" => spool = std::path::PathBuf::from(value_of("--spool", &mut args)),
-            "--catalog" => catalog = std::path::PathBuf::from(value_of("--catalog", &mut args)),
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match jobs::jobs_text(&spool, &catalog) {
-        Ok(text) => {
-            println!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The `repro catalog query` entry point: filtered historical jobs.
-fn catalog_main(mut args: impl Iterator<Item = String>) -> ! {
-    match args.next().as_deref() {
-        Some("query") => {}
-        Some("-h") | Some("--help") => help(),
-        other => {
-            eprintln!(
-                "error: expected `repro catalog query`, got `catalog {}`\n{USAGE}",
-                other.unwrap_or("")
-            );
-            std::process::exit(2);
-        }
-    }
-    let mut catalog = std::path::PathBuf::from(DEFAULT_CATALOG);
-    let mut filter = poat_catalog::QueryFilter::default();
-    let mut metric: Option<String> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-h" | "--help" => help(),
-            "--catalog" => catalog = std::path::PathBuf::from(value_of("--catalog", &mut args)),
-            "--workload" => filter.workload = Some(value_of("--workload", &mut args)),
-            "--design" => filter.design = Some(value_of("--design", &mut args)),
-            "--scale" => filter.scale = Some(value_of("--scale", &mut args)),
-            "--status" => filter.status = Some(value_of("--status", &mut args)),
-            "--metric" => metric = Some(value_of("--metric", &mut args)),
-            other => {
-                eprintln!("error: unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    match jobs::query_text(&catalog, &filter, metric.as_deref()) {
-        Ok(text) => {
-            println!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    // Library status lines (serve progress, artifact writes) land on
-    // stderr; stdout stays machine-parseable.
-    poat_harness::notify::set_sink(Box::new(|line| eprintln!("{line}")));
     let mut args = std::env::args().skip(1);
     let Some(artifact) = args.next() else { usage() };
     if matches!(artifact.as_str(), "-h" | "--help" | "help") {
@@ -988,17 +812,9 @@ fn main() {
     if artifact == "report" {
         report_main(args);
     }
-    if artifact == "serve" {
-        serve_main(args);
-    }
-    if artifact == "submit" {
-        submit_main(args);
-    }
-    if artifact == "jobs" {
-        jobs_main(args);
-    }
-    if artifact == "catalog" {
-        catalog_main(args);
+    if !ARTIFACTS.contains(&artifact.as_str()) {
+        eprintln!("error: unknown command `{artifact}`\n{USAGE}");
+        std::process::exit(2);
     }
     let mut scale = Scale::Full;
     let mut json_path: Option<String> = None;
@@ -1082,10 +898,8 @@ fn main() {
     let mut json: BTreeMap<String, serde_json::Value> = BTreeMap::new();
 
     let wants = |k: &str| artifact == k || artifact == "all";
-    let mut matched = false;
 
     if wants("table2") {
-        matched = true;
         let rows = timed("table2", || experiments::table2(scale));
         println!("{}", table2_text(&rows));
         if let Some(dir) = &csv_dir {
@@ -1097,7 +911,6 @@ fn main() {
         );
     }
     if wants("fig9a") || wants("fig9b") || wants("table8") || wants("instrs") {
-        matched = true;
         let main = timed("main_matrix", || experiments::main_matrix(scale));
         if wants("fig9a") {
             println!("{}", fig9a_text(&main.fig9a));
@@ -1120,7 +933,6 @@ fn main() {
         );
     }
     if wants("fig10") {
-        matched = true;
         let rows = timed("fig10", || experiments::fig10(scale));
         println!("{}", fig10_text(&rows));
         if let Some(dir) = &csv_dir {
@@ -1132,7 +944,6 @@ fn main() {
         );
     }
     if wants("fig11") || wants("table9") {
-        matched = true;
         let rows = timed("fig11", || experiments::fig11(scale));
         if wants("fig11") {
             println!("{}", fig11_text(&rows));
@@ -1149,7 +960,6 @@ fn main() {
         );
     }
     if wants("fig12") {
-        matched = true;
         let rows = timed("fig12", || experiments::fig12(scale));
         println!("{}", fig12_text(&rows));
         if let Some(dir) = &csv_dir {
@@ -1161,7 +971,6 @@ fn main() {
         );
     }
     if wants("seeds") {
-        matched = true;
         let rows = timed("seeds", || experiments::seeds(scale, 5));
         println!("{}", experiments::seeds_text(&rows));
         json.insert(
@@ -1170,7 +979,6 @@ fn main() {
         );
     }
     if wants("ablations") {
-        matched = true;
         let r = timed("ablations", || ablations::all(scale));
         println!("{}", ablations::all_text(&r));
         if let Some(dir) = &csv_dir {
@@ -1181,10 +989,6 @@ fn main() {
             serde_json::to_value(&r).expect("serialize"),
         );
     }
-    if !matched {
-        usage();
-    }
-
     // The Chrome trace snapshots the artifact run's events; it must be
     // written before the timeline pass, which clears the ring per run.
     if let Some(path) = &trace_path {
@@ -1213,15 +1017,17 @@ fn main() {
             serde_json::to_value(&manifest).expect("serialize manifest"),
         );
         let contents = serde_json::to_string_pretty(&json).expect("serialize results");
-        write_artifact("results", &path, run_id.as_deref(), &contents);
+        let status = write_artifact("results", &path, run_id.as_deref(), &contents);
+        eprintln!("{status}");
     }
     if let Some(path) = metrics_path {
-        write_artifact(
+        let status = write_artifact(
             "metrics snapshot",
             &path,
             run_id.as_deref(),
             &snapshot.to_json_string(),
         );
+        eprintln!("{status}");
     }
     eprintln!(
         "[{artifact} @ {scale:?}] completed in {:.1}s",

@@ -2,8 +2,11 @@
 //! run ledger (docs/OBSERVABILITY.md): `--help` documents every new
 //! flag, missing values die with targeted exit-2 errors, and the
 //! ledger → `repro report` loop closes — two runs make two queryable
-//! records. I/O failures in `repro trace-roundtrip` exit 1 with an
-//! `error:` line rather than a panic.
+//! records, and `report` on a missing ledger fails without creating it.
+//! Unknown commands (serve mode's `serve`/`submit`/`jobs`/`catalog` are
+//! gone) exit 2 with a one-line error and the usage. I/O failures in
+//! `repro trace-roundtrip` exit 1 with an `error:` line rather than a
+//! panic.
 
 use std::process::Command;
 
@@ -29,6 +32,40 @@ fn help_documents_the_observability_flags() {
         "--diff A:B",
     ] {
         assert!(stdout.contains(needle), "help documents `{needle}`");
+    }
+    for gone in ["serve", "submit", "repro jobs", "catalog", "--spool"] {
+        assert!(!stdout.contains(gone), "help no longer mentions `{gone}`");
+    }
+}
+
+#[test]
+fn unknown_commands_exit_2_with_one_error_line_and_usage() {
+    for args in [
+        &["serve"][..],
+        &["submit", "LL:ALL", "pipelined", "quick"][..],
+        &["jobs"][..],
+        &["catalog", "query"][..],
+        &["bogus", "--quick"][..],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`repro {}` exits 2:\n{stderr}",
+            args.join(" ")
+        );
+        let mut lines = stderr.lines();
+        assert_eq!(
+            lines.next(),
+            Some(format!("error: unknown command `{}`", args[0]).as_str()),
+            "`repro {}` names the command first:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("usage: repro")),
+            "then the usage:\n{stderr}"
+        );
     }
 }
 
@@ -112,6 +149,22 @@ fn two_runs_make_two_ledger_records() {
         stdout.contains("delta run000001 -> run000002"),
         "metric view diffs the last two runs:\n{stdout}"
     );
+}
+
+#[test]
+fn report_on_a_missing_ledger_fails_and_creates_nothing() {
+    let dir = std::env::temp_dir().join(format!("poat_args_no_ledger_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ledger = dir.join("sub").join("none.poatlgr");
+    let out = repro(&["report", "--ledger", ledger.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains(&format!("error: opening ledger {}", ledger.display())),
+        "names the path:\n{stderr}"
+    );
+    assert!(!ledger.exists(), "report created the ledger");
+    assert!(!dir.exists(), "report created the ledger's directory");
 }
 
 #[test]

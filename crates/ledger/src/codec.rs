@@ -1,13 +1,7 @@
 // SPDX-License-Identifier: MIT OR Apache-2.0
-//! Shared byte-level codec for log payloads: LEB128 varints,
-//! length-prefixed strings, front-coded name sequences, and a bounds-
-//! checked decode cursor.
-//!
-//! Both durable stores in this repository — the run ledger
-//! (`POATLGR1`, [`crate::record::RecordData`]) and the run catalog
-//! (`POATCAT1`, `crates/catalog`) — encode their payloads through these
-//! primitives, so the two formats stay siblings: same varint discipline,
-//! same corruption surface, one set of torture tests.
+//! Byte-level codec for ledger payloads ([`crate::record::RecordData`]):
+//! LEB128 varints, length-prefixed strings, front-coded name sequences,
+//! and a bounds-checked decode cursor.
 
 use crate::LedgerError;
 

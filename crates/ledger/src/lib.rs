@@ -41,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
+mod codec;
 pub mod medium;
 pub mod record;
 
@@ -52,8 +52,7 @@ pub use record::{HistStat, RecordData};
 
 use std::fmt;
 
-/// Magic bytes opening every *run-ledger* byte stream (the catalog uses
-/// the sibling `POATCAT1`; see [`LogPayload::MAGIC`]).
+/// Magic bytes opening every ledger byte stream.
 pub const MAGIC: &[u8; 8] = b"POATLGR1";
 
 /// Frame header bytes: payload length (u32) + seq (u64) + checksum (u64).
@@ -120,58 +119,23 @@ impl From<poat_pmem::PmemError> for LedgerError {
     }
 }
 
-/// The payload type a [`Log`] stores: its stream magic, its metric
-/// namespace, and its byte-level codec.
-///
-/// Implementations exist for the run-ledger [`RecordData`] (`POATLGR1`)
-/// and the run catalog's record type in `crates/catalog` (`POATCAT1`).
-/// Everything else about the two formats — frame headers, checksums,
-/// sequence discipline, recovery, and crash-safe media — is shared
-/// through [`Log`], so there is exactly one scanner to prove correct.
-pub trait LogPayload: Sized {
-    /// 8-byte magic opening the byte stream of this payload's streams.
-    const MAGIC: &'static [u8; 8];
-    /// Counter bumped per durably appended record (docs/METRICS.md).
-    const METRIC_RECORDS_APPENDED: &'static str;
-    /// Counter of framed bytes those appends committed.
-    const METRIC_BYTES_APPENDED: &'static str;
-    /// Counter of fully-persisted records recovered by opening scans.
-    const METRIC_RECORDS_RECOVERED: &'static str;
-    /// Counter of torn tails found (and, in repair mode, truncated) by
-    /// opening scans.
-    const METRIC_TORN_TAILS: &'static str;
-
-    /// Serializes the payload (the bytes the frame checksum covers).
-    fn encode(&self) -> Vec<u8>;
-
-    /// Decodes a payload produced by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// [`LedgerError::BadVersion`] / [`LedgerError::Corrupt`] per the
-    /// payload's own schema rules.
-    fn decode(bytes: &[u8]) -> Result<Self, LedgerError>;
-}
-
-/// One recovered record: its sequence number plus the decoded payload.
+/// One recovered run-ledger record: its sequence number plus the
+/// decoded payload.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Frame<P> {
+pub struct LedgerRecord {
     /// 1-based, strictly consecutive sequence number.
     pub seq: u64,
     /// The decoded record payload.
-    pub data: P,
+    pub data: RecordData,
 }
 
-impl<P> Frame<P> {
+impl LedgerRecord {
     /// Stable run identifier derived from the sequence number
     /// (`run000007`); artifact files are suffixed with it.
     pub fn run_id(&self) -> String {
         run_id(self.seq)
     }
 }
-
-/// One recovered run-ledger record (`POATLGR1` payload).
-pub type LedgerRecord = Frame<RecordData>;
 
 /// Formats a sequence number as the canonical run id (`run000007`).
 pub fn run_id(seq: u64) -> String {
@@ -189,7 +153,7 @@ pub struct ScanReport {
     pub torn_reason: Option<String>,
 }
 
-/// How [`Log::open_with`] treats the medium.
+/// How [`Ledger::open_with`] treats the medium.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpenMode {
     /// Read-write: an empty medium is formatted with the magic, a torn
@@ -197,38 +161,33 @@ pub enum OpenMode {
     /// single-writer mode.
     Repair,
     /// Read-only: the medium is never written — an empty medium reads as
-    /// an empty log, a torn tail is reported but left in place, and
-    /// appends fail. Safe for observers (`repro jobs`,
-    /// `repro catalog query`) polling a store another process is
-    /// actively appending to: a reader that raced an in-flight append
-    /// must not truncate the writer's half-written frame.
+    /// an empty ledger, a torn tail is reported but left in place, and
+    /// appends fail. Safe for readers (`repro report`) of a ledger
+    /// another process is appending to: a reader that raced an in-flight
+    /// append must not truncate the writer's half-written frame.
     ReadOnly,
 }
 
-/// An open append-only record log over some [`Medium`]: the recovered
-/// records plus the append position. [`Ledger`] and the run catalog are
-/// both instances of this type with different payloads.
-pub struct Log<M: Medium, P: LogPayload> {
+/// An open run ledger over some [`Medium`]: the recovered records plus
+/// the append position.
+pub struct Ledger<M: Medium> {
     medium: M,
-    records: Vec<Frame<P>>,
+    records: Vec<LedgerRecord>,
     scan: ScanReport,
     /// Logical length of the valid region (next append offset).
     valid_len: u64,
     read_only: bool,
 }
 
-/// The run ledger: a [`Log`] of [`RecordData`] payloads (`POATLGR1`).
-pub type Ledger<M> = Log<M, RecordData>;
-
-impl<M: Medium, P: LogPayload> Log<M, P> {
-    /// Opens (and if empty, formats) the log on `medium`, scanning and
+impl<M: Medium> Ledger<M> {
+    /// Opens (and if empty, formats) the ledger on `medium`, scanning and
     /// validating every record per the crate-level recovery contract. A
     /// torn tail is truncated away so subsequent appends are readable.
     ///
     /// # Errors
     ///
     /// [`LedgerError::BadMagic`] when the stream is non-empty but does
-    /// not start with [`LogPayload::MAGIC`]; medium errors pass through.
+    /// not start with [`MAGIC`]; medium errors pass through.
     /// Torn or corrupt *tails* are not errors — they are reported in
     /// [`scan_report`](Self::scan_report) and skipped.
     pub fn open(medium: M) -> Result<Self, LedgerError> {
@@ -246,9 +205,9 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         let len = medium.len()?;
         if len == 0 {
             if !read_only {
-                medium.append(P::MAGIC)?;
+                medium.append(MAGIC)?;
             }
-            return Ok(Log {
+            return Ok(Ledger {
                 medium,
                 records: Vec::new(),
                 scan: ScanReport::default(),
@@ -261,10 +220,10 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         }
         let mut magic = [0u8; 8];
         medium.read_at(0, &mut magic)?;
-        if &magic != P::MAGIC {
+        if &magic != MAGIC {
             return Err(LedgerError::BadMagic);
         }
-        let mut records = Vec::new();
+        let mut records: Vec<LedgerRecord> = Vec::new();
         let mut scan = ScanReport::default();
         let mut pos = 8u64;
         let torn = |reason: String, at: u64, scan: &mut ScanReport| {
@@ -296,7 +255,7 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
                 torn("payload truncated".to_string(), pos, &mut scan);
                 break;
             }
-            let expected_seq = records.last().map(|r: &Frame<P>| r.seq + 1).unwrap_or(1);
+            let expected_seq = records.last().map(|r| r.seq + 1).unwrap_or(1);
             if seq != expected_seq {
                 torn(
                     format!("sequence break (got {seq}, expected {expected_seq})"),
@@ -311,8 +270,8 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
                 torn("checksum mismatch".to_string(), pos, &mut scan);
                 break;
             }
-            match P::decode(&payload) {
-                Ok(data) => records.push(Frame { seq, data }),
+            match RecordData::decode(&payload) {
+                Ok(data) => records.push(LedgerRecord { seq, data }),
                 Err(e) => {
                     torn(format!("payload undecodable: {e}"), pos, &mut scan);
                     break;
@@ -323,12 +282,12 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         scan.recovered = records.len();
         if scan.torn_tail_bytes > 0 && !read_only {
             medium.truncate(pos)?;
-            global().counter(P::METRIC_TORN_TAILS).inc();
+            global().counter("ledger.torn.tails").inc();
         }
         global()
-            .counter(P::METRIC_RECORDS_RECOVERED)
+            .counter("ledger.records.recovered")
             .add(records.len() as u64);
-        Ok(Log {
+        Ok(Ledger {
             medium,
             records,
             scan,
@@ -344,10 +303,10 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
     ///
     /// Medium write/persist failures — including the injected crashes the
     /// fault-sweep arms, which surface as [`LedgerError::Pmem`] — and
-    /// [`LedgerError::Corrupt`] on a log opened read-only.
-    pub fn append(&mut self, data: P) -> Result<u64, LedgerError> {
+    /// [`LedgerError::Corrupt`] on a ledger opened read-only.
+    pub fn append(&mut self, data: RecordData) -> Result<u64, LedgerError> {
         if self.read_only {
-            return Err(LedgerError::Corrupt("log opened read-only"));
+            return Err(LedgerError::Corrupt("ledger opened read-only"));
         }
         let seq = self.records.last().map(|r| r.seq + 1).unwrap_or(1);
         let payload = data.encode();
@@ -359,26 +318,26 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         frame.extend_from_slice(&payload);
         self.medium.append(&frame)?;
         self.valid_len += frame.len() as u64;
-        global().counter(P::METRIC_RECORDS_APPENDED).inc();
+        global().counter("ledger.records.appended").inc();
         global()
-            .counter(P::METRIC_BYTES_APPENDED)
+            .counter("ledger.bytes.appended")
             .add(frame.len() as u64);
-        self.records.push(Frame { seq, data });
+        self.records.push(LedgerRecord { seq, data });
         Ok(seq)
     }
 
     /// All recovered + appended records, ascending by sequence number.
-    pub fn records(&self) -> &[Frame<P>] {
+    pub fn records(&self) -> &[LedgerRecord] {
         &self.records
     }
 
     /// The newest record, if any.
-    pub fn last(&self) -> Option<&Frame<P>> {
+    pub fn last(&self) -> Option<&LedgerRecord> {
         self.records.last()
     }
 
     /// The record with sequence number `seq`.
-    pub fn get(&self, seq: u64) -> Option<&Frame<P>> {
+    pub fn get(&self, seq: u64) -> Option<&LedgerRecord> {
         self.records.iter().find(|r| r.seq == seq)
     }
 
@@ -392,12 +351,12 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
         self.valid_len
     }
 
-    /// Whether this log was opened [`OpenMode::ReadOnly`].
+    /// Whether this ledger was opened [`OpenMode::ReadOnly`].
     pub fn is_read_only(&self) -> bool {
         self.read_only
     }
 
-    /// Consumes the log, returning the medium (tests re-open it).
+    /// Consumes the ledger, returning the medium (tests re-open it).
     pub fn into_medium(self) -> M {
         self.medium
     }
@@ -411,6 +370,17 @@ impl<M: Medium, P: LogPayload> Log<M, P> {
 /// File I/O failures and the scan errors of [`Ledger::open`].
 pub fn open_file(path: &std::path::Path) -> Result<Ledger<FileMedium>, LedgerError> {
     Ledger::open(FileMedium::open(path)?)
+}
+
+/// Opens the existing ledger file at `path` for reading only
+/// ([`OpenMode::ReadOnly`]): nothing is created, formatted or truncated.
+///
+/// # Errors
+///
+/// File I/O failures — including the file not existing — and the scan
+/// errors of [`Ledger::open_with`].
+pub fn open_file_read_only(path: &std::path::Path) -> Result<Ledger<FileMedium>, LedgerError> {
+    Ledger::open_with(FileMedium::open_read_only(path)?, OpenMode::ReadOnly)
 }
 
 #[cfg(test)]
@@ -513,6 +483,50 @@ mod tests {
         let mut l = open_file(&path).unwrap();
         assert_eq!(l.append(sample_record(2)).unwrap(), 3);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_only_observer_sees_the_stream_without_mutating_it() {
+        let dir = std::env::temp_dir().join(format!("poat_ledger_ro_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ro.poatlgr");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut l = open_file(&path).unwrap();
+            l.append(sample_record(0)).unwrap();
+        }
+        let clean_len = std::fs::metadata(&path).unwrap().len();
+        // A torn tail (simulating a racing writer's in-flight frame)...
+        {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            f.write_all(&[0xCD; 9]).unwrap();
+        }
+        // ...is visible to the reader but NOT truncated away.
+        let mut l = open_file_read_only(&path).unwrap();
+        assert!(l.is_read_only());
+        assert_eq!(l.records().len(), 1);
+        assert_eq!(l.scan_report().torn_tail_bytes, 9);
+        assert!(matches!(
+            l.append(sample_record(1)),
+            Err(LedgerError::Corrupt(_))
+        ));
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            clean_len + 9,
+            "read-only open must not repair the medium"
+        );
+        std::fs::remove_file(&path).unwrap();
+        // A missing ledger is an error, and the open creates nothing.
+        let missing = dir.join("absent").join("none.poatlgr");
+        assert!(matches!(
+            open_file_read_only(&missing),
+            Err(LedgerError::Io(_))
+        ));
+        assert!(!dir.join("absent").exists());
     }
 
     #[test]

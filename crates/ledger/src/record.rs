@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use poat_telemetry::MetricsSnapshot;
 
 use crate::codec::{put_front_coded, put_str, put_varint, Cursor};
-use crate::{LedgerError, LogPayload};
+use crate::LedgerError;
 
 /// Version of the record payload layout; bump on breaking change.
 pub const RECORD_SCHEMA_VERSION: u64 = 1;
@@ -205,7 +205,7 @@ impl RecordData {
     /// [`LedgerError::Corrupt`] for any structural violation (truncated
     /// varint, invalid UTF-8, lengths exceeding the payload).
     pub fn decode(bytes: &[u8]) -> Result<Self, LedgerError> {
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Cursor::new(bytes);
         let version = cur.varint()?;
         if version > RECORD_SCHEMA_VERSION {
             return Err(LedgerError::BadVersion(version));
@@ -268,39 +268,9 @@ impl RecordData {
     }
 }
 
-impl LogPayload for RecordData {
-    const MAGIC: &'static [u8; 8] = b"POATLGR1";
-    const METRIC_RECORDS_APPENDED: &'static str = "ledger.records.appended";
-    const METRIC_BYTES_APPENDED: &'static str = "ledger.bytes.appended";
-    const METRIC_RECORDS_RECOVERED: &'static str = "ledger.records.recovered";
-    const METRIC_TORN_TAILS: &'static str = "ledger.torn.tails";
-
-    fn encode(&self) -> Vec<u8> {
-        RecordData::encode(self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, LedgerError> {
-        RecordData::decode(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_roundtrip_extremes() {
-        for v in [0u64, 1, 127, 128, 300, u64::MAX / 2, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut cur = Cursor {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(cur.varint().unwrap(), v, "value {v}");
-            assert_eq!(cur.pos, buf.len());
-        }
-    }
 
     #[test]
     fn front_coding_compresses_the_namespace() {

@@ -53,6 +53,15 @@ cargo run --release -p poat-harness --bin repro --locked --offline -- \
   report --ledger "$ledger" | tee "$trace_dir/report.txt"
 grep -q '2 records in' "$trace_dir/report.txt"
 grep -q 'run000002' "$trace_dir/report.txt"
+# `report` is a reader: a missing ledger is an error, and nothing (not
+# the file, not its parent directory) is created.
+missing="$trace_dir/absent/none.poatlgr"
+if cargo run --release -p poat-harness --bin repro --locked --offline -- \
+  report --ledger "$missing" >/dev/null 2>&1; then
+  echo "repro report on a missing ledger exited 0" >&2
+  exit 1
+fi
+test ! -e "$trace_dir/absent"
 
 echo "==> repro trace-roundtrip smoke (offline)"
 # Quick-scale trace save -> load -> simulate round trip: the loaded
@@ -79,32 +88,6 @@ echo "==> repro crash-sweep smoke (offline)"
 # violation (EXPERIMENTS.md, "Crash-point sweep").
 cargo run --release -p poat-harness --bin repro --locked --offline -- \
   crash-sweep --scale quick --inject all --ledger "$ledger"
-
-echo "==> repro serve smoke (offline)"
-# Serve mode end to end (docs/OBSERVABILITY.md): submit two quick jobs
-# into a temp spool, drain them with a serve session, then the observer
-# CLIs must see both completed with recorded metrics in the durable
-# catalog.
-spool="$trace_dir/spool"
-catalog="$trace_dir/catalog.poatcat"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  submit LL:ALL pipelined quick --spool "$spool"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  submit BST:RANDOM ideal quick --spool "$spool"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  serve --spool "$spool" --catalog "$catalog" --drain
-test -s "$catalog"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  jobs --spool "$spool" --catalog "$catalog" | tee "$trace_dir/jobs.txt"
-grep -q '0 pending, 0 running, 2 completed, 0 failed' "$trace_dir/jobs.txt"
-cargo run --release -p poat-harness --bin repro --locked --offline -- \
-  catalog query --catalog "$catalog" --metric sim.result.cycles \
-  | tee "$trace_dir/catalog_query.txt"
-grep -q '2 job(s) matched' "$trace_dir/catalog_query.txt"
-# Both jobs project a real cycle count (a bare `-` would mean a job
-# completed without metrics).
-[[ "$(grep -c 'completed' "$trace_dir/catalog_query.txt")" -ge 2 ]]
-! grep -E 'completed.* -$' "$trace_dir/catalog_query.txt"
 
 echo "==> perfbench pin smoke (offline)"
 # One pass of each gated benchmark workload (BENCHMARK.json) at salt 0,
